@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/generator"
@@ -153,22 +154,33 @@ func BenchmarkGenerateRows(b *testing.B) {
 	_ = n
 }
 
-// BenchmarkGenerateBatches measures tuple-generation throughput on the
-// batched path (Stream.NextBatch); ns/op is amortized per generated row.
+// BenchmarkGenerateBatches measures tuple-generation throughput of the
+// columnar kernel at full width (Stream.NextColBatch projecting every
+// column); ns/op is amortized per generated row.
 func BenchmarkGenerateBatches(b *testing.B) {
 	cfg := benchConfig()
 	_, sum := mustBuild(b, cfg)
 	stream := Stream(sum, "store_sales")
-	dst := NewBatch(stream.Cols(), 0)
+	all := fullProjection(stream.Cols())
+	dst := batch.NewCol(stream.Cols(), 0, all)
 	b.ResetTimer()
 	var n int64
 	for n < int64(b.N) {
-		if !stream.NextBatch(dst) {
+		if !stream.NextColBatch(dst, all) {
 			stream = Stream(sum, "store_sales")
 			continue
 		}
 		n += int64(dst.Len())
 	}
+}
+
+// fullProjection is the column set [0, n).
+func fullProjection(n int) []int {
+	all := make([]int, n)
+	for c := range all {
+		all[c] = c
+	}
+	return all
 }
 
 // BenchmarkDatalessQuery measures steady-state dataless query execution:
@@ -363,8 +375,9 @@ func BenchmarkParallelGenerate(b *testing.B) {
 					wg.Add(1)
 					go func(p *generator.Stream) {
 						defer wg.Done()
-						dst := NewBatch(p.Cols(), 0)
-						for p.NextBatch(dst) {
+						all := fullProjection(p.Cols())
+						dst := batch.NewCol(p.Cols(), 0, all)
+						for p.NextColBatch(dst, all) {
 						}
 					}(p)
 				}

@@ -91,12 +91,17 @@ func runJSONBench(w io.Writer, cfg experiments.Config) error {
 	})
 	rows = append(rows, row("generate_rows", genRows, 1))
 
+	// generate_batches times the columnar kernel at full width.
+	all := make([]int, len(t.Columns))
+	for c := range all {
+		all[c] = c
+	}
 	genBatches := testing.Benchmark(func(b *testing.B) {
 		stream := generator.NewStream(t, rel)
-		dst := batch.New(stream.Cols(), 0)
+		dst := batch.NewCol(len(all), 0, all)
 		var n int64
 		for n < int64(b.N) {
-			if !stream.NextBatch(dst) {
+			if !stream.NextColBatch(dst, all) {
 				stream = generator.NewStream(t, rel)
 				continue
 			}
@@ -499,8 +504,8 @@ func runJSONBench(w io.Writer, cfg experiments.Config) error {
 					wg.Add(1)
 					go func(p *generator.Stream) {
 						defer wg.Done()
-						dst := batch.New(p.Cols(), 0)
-						for p.NextBatch(dst) {
+						dst := batch.NewCol(len(all), 0, all)
+						for p.NextColBatch(dst, all) {
 						}
 					}(p)
 				}

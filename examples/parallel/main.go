@@ -77,8 +77,10 @@ func main() {
 			wg.Add(1)
 			go func(p *generator.Stream) {
 				defer wg.Done()
-				dst := hydra.NewBatch(p.Cols(), 0)
-				for p.NextBatch(dst) {
+				for {
+					if _, ok := p.Next(); !ok {
+						break
+					}
 				}
 			}(p)
 		}

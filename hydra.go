@@ -47,7 +47,9 @@ type (
 	Database = engine.Database
 	// Relation is a stored table.
 	Relation = engine.Relation
-	// RowSource yields coded rows one at a time.
+	// RowSource yields coded rows one at a time. A caller-supplied source
+	// (SetDatagen, Pace) needs only Next; one that also implements
+	// NextColBatch, as Stream does, is read column-batch-wise.
 	RowSource = engine.RowSource
 
 	// ExecOptions tune query execution: sample retention, batch capacity,
@@ -68,16 +70,10 @@ type (
 	// and surface the root via ExecResult.Trace.
 	TraceSpan = trace.Span
 
-	// Batch is a reusable fixed-capacity buffer of coded rows, the unit
-	// the batched generation and execution pipelines move tuples in.
-	Batch = batch.Batch
-	// BatchSource yields coded rows a batch at a time. The generator's
-	// Stream and its Paced wrapper both implement it.
-	BatchSource = batch.Source
 	// ColBatch is the column-major batch (one vector per populated column
-	// plus a selection vector) the engine's columnar executor moves rows
-	// in; the generator's Stream fills it under projection pushdown via
-	// NextColBatch.
+	// plus a selection vector) the generator and the engine's executor
+	// move rows in; the generator's Stream fills it under projection
+	// pushdown via NextColBatch.
 	ColBatch = batch.ColBatch
 
 	// Prepared is a plan readied for repeated execution: hash-join build
@@ -232,22 +228,22 @@ func Prepare(db *Database, sql string, opts ExecOptions) (*Prepared, error) {
 }
 
 // Stream opens a raw tuple-generation stream for one table of the summary,
-// for callers that want rows rather than query execution. The stream is
-// batch-capable: call Next for one row at a time or NextBatch (with a
-// batch from NewBatch) for amortized bulk generation.
+// for callers that want rows rather than query execution. Generation has
+// one kernel: NextColBatch fills a ColBatch with the projected columns of
+// the next tuples, and Next returns one row at a time, pivoted out of that
+// kernel's full-width batches. Tuple i has primary key i; the other
+// columns follow the summary row it falls in (a fixed value, the cycling
+// set's value at the tuple's offset in the row, or 0 when the row leaves
+// the column unspecced).
 func Stream(sum *Summary, table string) *generator.Stream {
 	return generator.NewStream(sum.Schema.Table(table), sum.Relations[table])
 }
 
-// NewBatch returns an empty row batch of the given width; capRows <= 0
-// selects the default capacity.
-func NewBatch(cols, capRows int) *Batch { return batch.New(cols, capRows) }
-
 // Pace throttles a row source to rowsPerSec (the demo's velocity slider);
-// a non-positive rate returns the source unchanged. The returned source is
-// batch-capable: it implements BatchSource, crediting whole batches
-// against the absolute pacing schedule (and delegating batch generation to
-// src when src itself is a BatchSource).
+// a non-positive rate returns the source unchanged. The returned source
+// also implements NextColBatch, crediting whole batches against the
+// absolute pacing schedule; its batches come from src's own NextColBatch
+// when src has one (a Stream does), so pacing never changes the tuples.
 func Pace(src RowSource, rowsPerSec float64) RowSource {
 	if rowsPerSec <= 0 {
 		return src

@@ -1,11 +1,24 @@
+// Package batch provides the fixed-capacity column batch that Hydra's
+// generation and execution pipelines move tuples in. Producing and
+// consuming rows a batch at a time amortizes per-row interface calls and
+// bounds checks across the whole pipeline: the generator expands a summary
+// row's Count tuples in one tight loop per column, and every engine
+// operator accounts cardinalities once per batch instead of once per row.
 package batch
 
-// ColBatch is the column-major counterpart of Batch: the values of column c
-// occupy one contiguous []int64, and a reusable selection vector marks which
-// rows are live. The layout is what makes late materialization possible —
-// an operator touches only the columns it was asked to populate, a filter
-// flips selection indices instead of moving row data, and unit-stride
-// column fills replace the strided walks of the row-major path.
+import "slices"
+
+// DefaultCap is the default batch capacity in rows. 1024 rows of a
+// handful of int64 columns keeps a batch comfortably inside the L2 cache
+// while amortizing per-batch overhead to noise.
+const DefaultCap = 1024
+
+// ColBatch is a column-major batch: the values of column c occupy one
+// contiguous []int64, and a reusable selection vector marks which rows are
+// live. The layout is what makes late materialization possible — an
+// operator touches only the columns it was asked to populate, a filter
+// flips selection indices instead of moving row data, and every column
+// fill is a unit-stride pass.
 //
 // A batch is constructed for a fixed set of populated columns; the other
 // columns carry no storage (Col returns nil), so a scan projected to three
@@ -116,15 +129,66 @@ func (b *ColBatch) LiveRow(i int, dst []int64) {
 	}
 }
 
-// ColSource yields column batches. NextColBatch resets dst, fills exactly
+// AppendRows appends the batch's physical rows to dst in row-major order —
+// row i's Width values, then row i+1's — and returns the extended slice.
+// Every column must be populated. The pivot is one pass per column, for
+// callers that want rows: the generator's row view and materialization.
+func (b *ColBatch) AppendRows(dst []int64) []int64 {
+	w, base := b.width, len(dst)
+	dst = slices.Grow(dst, b.n*w)[:base+b.n*w]
+	for c, col := range b.cols {
+		for i, v := range col[:b.n] {
+			dst[base+i*w+c] = v
+		}
+	}
+	return dst
+}
+
+// ColProjector yields column batches. NextColBatch resets dst, fills exactly
 // the columns in cols (which must all be populated in dst), sets the
 // physical length, and reports whether any rows were produced; the batch is
 // left dense. Once it returns false the source is exhausted.
 //
 // The projection is the caller's required-column set: implementations must
 // never touch columns outside it. The generator's Stream and the engine's
-// stored-relation cursor implement ColProjector natively; row-major sources
-// are adapted by transposition.
+// stored-relation cursor implement ColProjector natively; row-at-a-time
+// sources are adapted by FromRows.
 type ColProjector interface {
 	NextColBatch(dst *ColBatch, cols []int) bool
+}
+
+// RowSource yields coded rows one at a time; Next returns ok=false once the
+// source is exhausted.
+type RowSource interface {
+	Next() (row []int64, ok bool)
+}
+
+// FromRows views a row-at-a-time source as a ColProjector: src itself when
+// it already projects columns, otherwise an adapter that pulls up to a
+// batch of rows and copies out only the requested columns. It is the one
+// row-to-column adapter, for caller-supplied sources that only have Next.
+func FromRows(src RowSource) ColProjector {
+	if cp, ok := src.(ColProjector); ok {
+		return cp
+	}
+	return &rowProjector{src: src}
+}
+
+type rowProjector struct{ src RowSource }
+
+func (a *rowProjector) NextColBatch(dst *ColBatch, cols []int) bool {
+	dst.Reset()
+	n := 0
+	for n < dst.capRows {
+		row, ok := a.src.Next()
+		if !ok {
+			break
+		}
+		for _, c := range cols {
+			dst.cols[c][n] = row[c]
+		}
+		n++
+	}
+	dst.n = n
+	return n > 0
 }

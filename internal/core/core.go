@@ -138,14 +138,17 @@ func BuildFromPackage(pkg *TransferPackage, opts summary.BuildOptions) (*summary
 // RegenDatabase returns a dataless database: every table's scan is served
 // by the tuple generator straight from the summary (the paper's datagen
 // relation property). rowsPerSec throttles generation per scan; zero means
-// unlimited. The returned sources are batch-capable (both Stream and Paced
-// implement batch.Source), so engine execution runs on the batched path.
+// unlimited. Both Stream and Paced fill column batches through the
+// generator's one columnar kernel, so paced and unpaced scans produce the
+// same tuples.
 //
 // At full speed the summary is also registered with the engine, enabling the
-// summary-direct aggregate fast path: provably exact aggregates skip
-// regeneration entirely. Paced databases deliberately do not register it —
-// their purpose is to model a generation-rate budget, and a query answered
-// from the summary alone would bypass the pacing being measured.
+// summary-direct aggregate fast path and scan pruning: provably exact
+// aggregates skip regeneration entirely. A relation that fails the
+// canonical-summary check is not registered, and its queries regenerate.
+// Paced databases deliberately do not register it — their purpose is to
+// model a generation-rate budget, and a query answered from the summary
+// alone would bypass the pacing being measured.
 func RegenDatabase(sum *summary.Database, rowsPerSec float64) *engine.Database {
 	db := engine.NewDatabase(sum.Schema)
 	for name := range sum.Relations {
@@ -159,7 +162,9 @@ func RegenDatabase(sum *summary.Database, rowsPerSec float64) *engine.Database {
 			return stream, nil
 		})
 		if rowsPerSec == 0 {
-			db.SetSummary(name, rel)
+			// A refused summary leaves the table on plain regeneration,
+			// which answers every query; the error needs no handling.
+			_ = db.SetSummary(name, rel)
 		}
 	}
 	return db
@@ -167,10 +172,10 @@ func RegenDatabase(sum *summary.Database, rowsPerSec float64) *engine.Database {
 
 // MaterializedDatabase expands the summary into stored rows — the demo's
 // optional materialize mode, and the reference point dynamic regeneration
-// is compared against. Expansion runs through the generator's batch path:
-// each batch is copied once into a flat arena that the stored rows slice
-// into, so materialization costs two allocations per batch instead of one
-// per row.
+// is compared against. Expansion runs through the generator's columnar
+// kernel, the same one every scan uses: each full-width batch is pivoted
+// once into a flat row-major arena that the stored rows slice into, so
+// materialization costs two allocations per batch instead of one per row.
 func MaterializedDatabase(sum *summary.Database) (*engine.Database, error) {
 	db := engine.NewDatabase(sum.Schema)
 	for name, relSum := range sum.Relations {
@@ -180,10 +185,14 @@ func MaterializedDatabase(sum *summary.Database) (*engine.Database, error) {
 		if relSum.Total > 0 {
 			rel.Rows = make([][]int64, 0, relSum.Total)
 		}
+		all := make([]int, ncols)
+		for c := range all {
+			all[c] = c
+		}
 		stream := generator.NewStream(t, relSum)
-		b := batch.New(ncols, 0)
-		for stream.NextBatch(b) {
-			arena := append([]int64(nil), b.Data()...)
+		b := batch.NewCol(ncols, 0, all)
+		for stream.NextColBatch(b, all) {
+			arena := b.AppendRows(nil)
 			for i := 0; i < b.Len(); i++ {
 				rel.Rows = append(rel.Rows, arena[i*ncols:(i+1)*ncols:(i+1)*ncols])
 			}

@@ -13,16 +13,16 @@ import (
 )
 
 // slowGen is a deterministic, partitionable datagen source for the fact
-// table: rows are a pure function of their index, every NextBatch may
+// table: rows are a pure function of their index, every NextColBatch may
 // sleep (simulating a slow regeneration), and batch number fireAt may
 // invoke a hook — the seam the mid-query cancellation tests use to cancel
 // a context at an exact, schedule-independent point in the scan.
 type slowGen struct {
 	total  int64
 	delay  time.Duration
-	fireAt int64        // NextBatch call number that triggers fire (0 = never)
+	fireAt int64        // NextColBatch call number that triggers fire (0 = never)
 	fire   func()       // invoked exactly once, from call #fireAt
-	calls  atomic.Int64 // NextBatch calls across all sections
+	calls  atomic.Int64 // NextColBatch calls across all sections
 }
 
 func (g *slowGen) open() (RowSource, error) { return &slowSection{g: g, hi: g.total}, nil }
@@ -57,7 +57,7 @@ func (s *slowSection) Next() ([]int64, bool) {
 	return row, true
 }
 
-func (s *slowSection) NextBatch(dst *batch.Batch) bool {
+func (s *slowSection) NextColBatch(dst *batch.ColBatch, cols []int) bool {
 	if n := s.g.calls.Add(1); s.g.fire != nil && n == s.g.fireAt {
 		s.g.fire()
 	}
@@ -65,16 +65,22 @@ func (s *slowSection) NextBatch(dst *batch.Batch) bool {
 		time.Sleep(s.g.delay)
 	}
 	dst.Reset()
-	for !dst.Full() && s.pos < s.hi {
-		s.fillRow(dst.Append())
+	var row [3]int64
+	n := 0
+	for ; n < dst.Cap() && s.pos < s.hi; n++ {
+		s.fillRow(row[:])
 		s.pos++
+		dst.SetLen(n + 1)
+		for _, c := range cols {
+			dst.Col(c)[n] = row[c]
+		}
 	}
-	return dst.Len() > 0
+	return n > 0
 }
 
 func (s *slowSection) Total() int64 { return s.hi }
 
-func (s *slowSection) Section(lo, hi int64) batch.Source {
+func (s *slowSection) Section(lo, hi int64) batch.ColProjector {
 	return &slowSection{g: s.g, pos: lo, hi: hi}
 }
 

@@ -18,10 +18,10 @@ import (
 )
 
 // RowSource yields coded rows one at a time. Next returns ok=false when the
-// source is exhausted.
-type RowSource interface {
-	Next() (row []int64, ok bool)
-}
+// source is exhausted. Scans read a datagen source through its
+// NextColBatch when it has one (the generator's Stream and Paced do), and
+// through batch.FromRows otherwise.
+type RowSource = batch.RowSource
 
 // DatagenFunc opens a fresh dynamic-regeneration stream for a table. It is
 // invoked once per scan of the table.
@@ -90,28 +90,48 @@ func (db *Database) DatagenEnabled(table string) bool {
 }
 
 // SetSummary registers the relation summary a table's datagen scans expand,
-// unlocking the summary-direct aggregate fast path (summaryagg.go): provably
-// exact aggregates are then answered in O(summary rows) without generating a
-// single tuple. Register a summary only when the table's scans regenerate
-// from exactly that summary at full speed — a paced or caller-supplied
-// datagen source must not register one, since queries answered
-// summary-directly bypass the scan entirely. Passing nil unregisters.
-func (db *Database) SetSummary(table string, rel *synopsis.Relation) {
+// unlocking the summary-direct aggregate fast path (summaryagg.go) and scan
+// pruning (prune.go): provably exact aggregates are then answered in
+// O(summary rows) without generating a single tuple, and filters skip the
+// tuples the summary proves cannot match. Register a summary only when the
+// table's scans regenerate from exactly that summary at full speed — a
+// paced or caller-supplied datagen source must not register one, since
+// queries answered summary-directly bypass the scan entirely. Passing nil
+// unregisters.
+//
+// Only a canonical summary is registered: one that fails
+// synopsis.Relation.Validate against the table is refused with the
+// validation error, leaving the table unregistered, so its queries
+// regenerate.
+func (db *Database) SetSummary(table string, rel *synopsis.Relation) error {
+	delete(db.summaries, table)
 	if rel == nil {
-		delete(db.summaries, table)
-		return
+		return nil
+	}
+	t := db.Schema.Table(table)
+	if t == nil {
+		return fmt.Errorf("engine: table %s not in schema", table)
+	}
+	if err := rel.Validate(t); err != nil {
+		return err
 	}
 	db.summaries[table] = rel
+	return nil
 }
 
 // Summary returns the registered relation summary for a table, or nil.
 func (db *Database) Summary(table string) *synopsis.Relation { return db.summaries[table] }
 
-// openScan returns a row source for the table: the datagen stream when
-// enabled, otherwise a cursor over stored rows.
-func (db *Database) openScan(table string) (RowSource, error) {
+// openScan returns the table's scan source: the datagen stream when enabled
+// (viewed through batch.FromRows, which keeps columnar sources as they are),
+// otherwise a cursor over stored rows.
+func (db *Database) openScan(table string) (batch.ColProjector, error) {
 	if fn, ok := db.datagen[table]; ok {
-		return fn()
+		src, err := fn()
+		if err != nil {
+			return nil, err
+		}
+		return batch.FromRows(src), nil
 	}
 	rel := db.rels[table]
 	if rel == nil {
@@ -120,42 +140,10 @@ func (db *Database) openScan(table string) (RowSource, error) {
 	return &sliceSource{rows: rel.Rows}, nil
 }
 
-// openBatchScan returns a batch source for the table: batch-capable
-// sources (the generator's Stream, its Paced wrapper, stored relations)
-// are used directly, any other datagen source is adapted row by row.
-func (db *Database) openBatchScan(table string) (batch.Source, error) {
-	src, err := db.openScan(table)
-	if err != nil {
-		return nil, err
-	}
-	if bs, ok := src.(batch.Source); ok {
-		return bs, nil
-	}
-	return &rowBatchSource{src: src}, nil
-}
-
+// sliceSource is the cursor over a stored relation's rows.
 type sliceSource struct {
 	rows [][]int64
 	i    int
-}
-
-func (s *sliceSource) Next() ([]int64, bool) {
-	if s.i >= len(s.rows) {
-		return nil, false
-	}
-	r := s.rows[s.i]
-	s.i++
-	return r, true
-}
-
-// NextBatch copies stored rows into dst, implementing batch.Source.
-func (s *sliceSource) NextBatch(dst *batch.Batch) bool {
-	dst.Reset()
-	for !dst.Full() && s.i < len(s.rows) {
-		copy(dst.Append(), s.rows[s.i])
-		s.i++
-	}
-	return dst.Len() > 0
 }
 
 // NextColBatch transposes stored rows into dst's projected columns,
@@ -200,7 +188,7 @@ func (s *sliceSource) SeekRow(i int64) {
 func (s *sliceSource) Total() int64 { return int64(len(s.rows)) }
 
 // Section opens an independent cursor over rows [lo, hi).
-func (s *sliceSource) Section(lo, hi int64) batch.Source {
+func (s *sliceSource) Section(lo, hi int64) batch.ColProjector {
 	n := int64(len(s.rows))
 	if lo < 0 {
 		lo = 0
@@ -215,22 +203,4 @@ func (s *sliceSource) Section(lo, hi int64) batch.Source {
 		hi = lo
 	}
 	return &sliceSource{rows: s.rows[lo:hi]}
-}
-
-// rowBatchSource adapts a row-at-a-time source to batch.Source for datagen
-// functions supplied by callers outside this module.
-type rowBatchSource struct {
-	src RowSource
-}
-
-func (a *rowBatchSource) NextBatch(dst *batch.Batch) bool {
-	dst.Reset()
-	for !dst.Full() {
-		row, ok := a.src.Next()
-		if !ok {
-			break
-		}
-		copy(dst.Append(), row)
-	}
-	return dst.Len() > 0
 }

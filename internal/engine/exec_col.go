@@ -14,12 +14,15 @@ import (
 // Operators move rows in column-major batches (batch.ColBatch) under late
 // materialization: required-column analysis (plan.go) decides which columns
 // each operator must populate, scans expand only those columns from the
-// summary, filters flip a selection vector instead of compacting row data,
-// and hash joins read nothing but the key column until output
-// materialization. Blocking root operators (GROUP BY, DISTINCT, ORDER BY)
-// are the sink framework in sink.go. Every execution front composes these
-// same operators: Execute drives them batch-wise, ExecuteRows (exec.go) is
-// a thin row-pivot adapter over the identical pipeline, ExecuteParallel
+// summary through the generator's one columnar kernel (every scan source is
+// a batch.ColProjector: a generator stream or section, a paced stream, a
+// stored-relation cursor, or a caller's row source behind batch.FromRows),
+// filters flip a selection vector instead of compacting row data, and hash
+// joins read nothing but the key column until output materialization.
+// Blocking root operators (GROUP BY, DISTINCT, ORDER BY) are the sink
+// framework in sink.go. Every execution front composes these same
+// operators: Execute drives them batch-wise, ExecuteRows (exec.go) is a thin
+// row-pivot adapter over the identical pipeline, ExecuteParallel
 // (exec_parallel.go) replicates the probe spine per worker over shared
 // build arenas and folds sink partial states, and Prepared/ExecuteIn
 // recycles the opened tree. The parity suites hold all of them to
@@ -57,7 +60,7 @@ type rowSeeker interface {
 // scan uniquely; used guards against regressions.
 type scanOverride struct {
 	table string
-	src   batch.Source
+	src   batch.ColProjector
 	used  bool
 }
 
@@ -194,20 +197,13 @@ func runColumnar(ctl *execCtl, it colIterator, b *batch.ColBatch, plan *Plan, op
 func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverride, builds buildCache, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
 	switch pn.Op {
 	case OpScan:
-		var src batch.Source
-		if ov != nil && !ov.used && ov.table == pn.Table {
-			src = ov.src
-			ov.used = true
-		} else {
-			var err error
-			src, err = db.openBatchScan(pn.Table)
-			if err != nil {
-				return nil, 0, nil, nil, err
-			}
+		src, err := ov.open(db, pn.Table)
+		if err != nil {
+			return nil, 0, nil, nil, err
 		}
 		node := &ExecNode{Op: pn.Op.String(), Table: pn.Table}
 		width := len(db.Schema.Table(pn.Table).Columns)
-		s := &colScanIter{table: pn.Table, src: src, proj: asProjector(src, width), cols: need, width: width, node: node, ctl: ctl}
+		s := &colScanIter{table: pn.Table, src: src, cols: need, node: node, ctl: ctl}
 		s.sp, s.rowBytes = ctl.annotate(node), 8*int64(len(need))
 		return s, width, need, node, nil
 
@@ -355,16 +351,9 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverri
 // path unopened-again, honoring the one-invocation-per-scan contract.
 func openPrunedFilter(db *Database, pn *PlanNode, pr *scanPrune, need []int, capRows int, ov *scanOverride, builds buildCache, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
 	scanPn := pn.Children[0]
-	var src batch.Source
-	if ov != nil && !ov.used && ov.table == scanPn.Table {
-		src = ov.src
-		ov.used = true
-	} else {
-		var err error
-		src, err = db.openBatchScan(scanPn.Table)
-		if err != nil {
-			return nil, 0, nil, nil, err
-		}
+	src, err := ov.open(db, scanPn.Table)
+	if err != nil {
+		return nil, 0, nil, nil, err
 	}
 	rs, ok := src.(rowSpaceSource)
 	if !ok {
@@ -385,7 +374,7 @@ func openPrunedFilter(db *Database, pn *PlanNode, pr *scanPrune, need []int, cap
 		scanCols = pn.childNeeds(need)[0]
 	}
 	scanNode := &ExecNode{Op: OpScan.String(), Table: scanPn.Table, RowsPruned: pr.pruned, SummaryRowsSkipped: pr.skipped}
-	s := &colScanIter{table: scanPn.Table, src: sub, proj: asProjector(sub, width), cols: scanCols, width: width, node: scanNode, ctl: ctl}
+	s := &colScanIter{table: scanPn.Table, src: sub, cols: scanCols, node: scanNode, ctl: ctl}
 	s.sp, s.rowBytes = ctl.annotate(scanNode), 8*int64(len(scanCols))
 	if pr.absorbed {
 		return s, width, scanCols, scanNode, nil
@@ -395,45 +384,15 @@ func openPrunedFilter(db *Database, pn *PlanNode, pr *scanPrune, need []int, cap
 	return &colFilterIter{child: s, m: pn.Pred.Matcher(), node: node, sp: ctl.annotate(node)}, width, scanCols, node, nil
 }
 
-// asProjector views a scan source as a column projector: batch-capable
-// columnar sources (the generator's Stream, stored-relation cursors) are
-// used directly; row-major sources (Paced wrappers, caller-supplied
-// datagen) are adapted by transposing whole row batches.
-func asProjector(src batch.Source, width int) batch.ColProjector {
-	if cp, ok := src.(batch.ColProjector); ok {
-		return cp
+// open returns the scan source for table: the override's pre-opened source
+// the first time the override's table is asked for, a freshly opened one
+// otherwise (including when ov is nil).
+func (ov *scanOverride) open(db *Database, table string) (batch.ColProjector, error) {
+	if ov != nil && !ov.used && ov.table == table {
+		ov.used = true
+		return ov.src, nil
 	}
-	return &rowColAdapter{src: src, width: width}
-}
-
-// rowColAdapter adapts a row-major batch.Source to batch.ColProjector.
-// Projection cannot be pushed into an opaque source, so the full row batch
-// is produced and only the requested columns transposed out.
-type rowColAdapter struct {
-	src   batch.Source
-	width int
-	buf   *batch.Batch
-}
-
-func (a *rowColAdapter) NextColBatch(dst *batch.ColBatch, cols []int) bool {
-	dst.Reset()
-	if a.buf == nil || a.buf.Cap() != dst.Cap() {
-		a.buf = batch.New(a.width, dst.Cap())
-	}
-	if !a.src.NextBatch(a.buf) {
-		return false
-	}
-	n := a.buf.Len()
-	data := a.buf.Data()
-	w := a.buf.Cols()
-	dst.SetLen(n)
-	for _, c := range cols {
-		out := dst.Col(c)
-		for i, off := 0, c; i < n; i, off = i+1, off+w {
-			out[i] = data[off]
-		}
-	}
-	return true
+	return db.openScan(table)
 }
 
 // colScanIter passes projected source batches through, counting them. It
@@ -443,10 +402,8 @@ func (a *rowColAdapter) NextColBatch(dst *batch.ColBatch, cols []int) bool {
 // single check here stops them all within one batch of the context ending.
 type colScanIter struct {
 	table    string
-	src      batch.Source
-	proj     batch.ColProjector
+	src      batch.ColProjector
 	cols     []int
-	width    int
 	node     *ExecNode
 	ctl      *execCtl
 	sp       *trace.Span // nil when untraced
@@ -470,7 +427,7 @@ func (s *colScanIter) next(dst *batch.ColBatch) bool {
 	if s.ctl.stopped() {
 		return false
 	}
-	if !s.proj.NextColBatch(dst, s.cols) {
+	if !s.src.NextColBatch(dst, s.cols) {
 		return false
 	}
 	s.node.OutRows += int64(dst.Len())
@@ -484,12 +441,11 @@ func (s *colScanIter) rewind(db *Database) error {
 		return nil
 	}
 	// Not seekable (paced or opaque source): a rewind is a fresh scan.
-	src, err := db.openBatchScan(s.table)
+	src, err := db.openScan(s.table)
 	if err != nil {
 		return err
 	}
 	s.src = src
-	s.proj = asProjector(src, s.width)
 	return nil
 }
 

@@ -124,7 +124,6 @@ type parallelPlan struct {
 
 	src      parallel.Source
 	scanNeed []int // projection pushed into each morsel's scan
-	scanCols int   // scan width
 	scanNode *ExecNode
 
 	filterPn   *PlanNode // nil when the scan is unfiltered
@@ -216,7 +215,7 @@ func openParallel(db *Database, plan *Plan, opts ExecOptions, builds buildCache,
 
 	// The leaf must expose a partitionable row space before any build-side
 	// work is worth doing.
-	src, err := db.openBatchScan(pn.Table)
+	src, err := db.openScan(pn.Table)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -294,7 +293,6 @@ func openParallel(db *Database, plan *Plan, opts ExecOptions, builds buildCache,
 	}
 	ctl.annotate(pp.scanNode)
 	width := len(db.Schema.Table(pn.Table).Columns)
-	pp.scanCols = width
 	cur := pp.scanNode
 	if fp := pp.filterPn; fp != nil {
 		table := db.Schema.Table(fp.Pred.Table)
@@ -473,7 +471,7 @@ func (pp *parallelPlan) run(ctx context.Context, workers int, opts ExecOptions) 
 		// is swapped per morsel, join iterators reset their probe cursors.
 		scanShadow := &ExecNode{}
 		st.shadow = append(st.shadow, scanShadow)
-		scanIt := &colScanIter{cols: pp.scanNeed, width: pp.scanCols, node: scanShadow, ctl: wctl}
+		scanIt := &colScanIter{cols: pp.scanNeed, node: scanShadow, ctl: wctl}
 		if wspans != nil {
 			scanIt.sp, scanIt.rowBytes = wspans[w][0], 8*int64(len(pp.scanNeed))
 		}
@@ -515,9 +513,7 @@ func (pp *parallelPlan) run(ctx context.Context, workers int, opts ExecOptions) 
 			if !ok {
 				return nil
 			}
-			sec := pp.src.Section(lo, hi)
-			scanIt.src = sec
-			scanIt.proj = asProjector(sec, pp.scanCols)
+			scanIt.src = pp.src.Section(lo, hi)
 			for _, ji := range joinIts {
 				ji.reset()
 			}

@@ -2,23 +2,24 @@ package engine
 
 // Predicate pushdown into generation: because a datagen table is a pure
 // function of its registered summary, a filter over it can be evaluated
-// against the summary *before* any tuple exists. buildPruneCache intersects
-// each summary row's per-column value sets with the compiled predicate and
-// classifies every filter column per row:
+// against the summary *before* any tuple exists. prunePred runs the shared
+// per-row classifier (classify.go) over every summary row and turns its
+// verdict into tuple positions:
 //
-//   - pruned:   the row provably contributes nothing (a fixed or unspecced
+//   - skip: the row provably contributes nothing (a fixed or unspecced
 //     value outside the predicate, a cycling set disjoint from it, or a
 //     primary-key range that misses) — the whole row is skipped and its
 //     tuples are never generated.
-//   - position-compiled: exactly one cycling column is partially restricted
-//     (PR 8's provability rule); its matching cycle offsets are computed in
-//     closed form (cycle.Ranks) and expanded to the row's matching global
-//     positions (cycle.Positions), so only σ's tuples are generated.
+//   - full: every tuple matches; the whole row is kept.
+//   - driven: the driving cycling column's matching cycle offsets are
+//     computed in closed form (cycle.Ranks) and expanded to the row's
+//     matching global positions (cycle.Positions), clipped by any
+//     primary-key position restriction, so only σ's tuples are generated.
 //   - residual: anything the summary cannot decide exactly — a second
-//     independently restricted cycling column, a duplicate or explicit-pk
-//     spec (where the generator paths disagree), or a position set too
-//     fragmented to enumerate — keeps a superset of the row's tuples and
-//     leaves the full MatchVec filter in place.
+//     independently restricted cycling column, or a position set too
+//     fragmented to enumerate — keeps a superset of the row's tuples (the
+//     first driving column's positions, or the whole row) and leaves the
+//     full MatchVec filter in place.
 //
 // The result is a qualifying row-space: an ascending, disjoint list of
 // [lo,hi) global-row intervals the scan iterates instead of [0, Total).
@@ -40,7 +41,7 @@ import (
 // (SectionSet); sources that don't — paced streams, caller-supplied
 // datagen — simply scan unpruned.
 type rowSpaceSource interface {
-	SectionSet(ivs []value.Interval) batch.Source
+	SectionSet(ivs []value.Interval) batch.ColProjector
 }
 
 // scanPrune is the precomputed qualifying row-space for one OpFilter node
@@ -128,12 +129,11 @@ func buildPruneCache(db *Database, plan *Plan) pruneCache {
 func prunePred(pn *PlanNode, rel *synopsis.Relation, pkIdx int) *scanPrune {
 	p := pn.Pred
 	pr := &scanPrune{table: p.Table, absorbed: true}
+	rc := newRowClassifier(p.Cols, p, pkIdx)
 	var (
 		interBuf value.IntervalSet // S ∩ P scratch
 		rankBuf  value.IntervalSet // cycle.Ranks scratch
 		posBuf   value.IntervalSet // cycle.Positions scratch
-		pkBuf    value.IntervalSet // pk-range ∩ P scratch
-		rowBuf   value.IntervalSet // [base, base+n) singleton scratch
 		clipBuf  value.IntervalSet // positions ∩ pk restriction scratch
 	)
 	var base int64
@@ -146,98 +146,23 @@ func prunePred(pn *PlanNode, rel *synopsis.Relation, pkIdx int) *scanPrune {
 		rowBase := base
 		base += n
 
-		var (
-			skip   bool
-			hard   bool              // some conjunct undecidable: residual needed
-			drive  value.IntervalSet // driving cycling column's cycle set
-			driveP value.IntervalSet // its predicate set
-			pkIvs  value.IntervalSet // direct position restriction from a pk conjunct
-		)
-		for i, c := range p.Cols {
-			P := p.Sets[i]
-			// Resolve column c's spec; a duplicate spec means the generator's
-			// row-major and columnar paths disagree, so nothing about the
-			// column is provable.
-			var sp *synopsis.ColSpec
-			dup := false
-			for si := range row.Specs {
-				if row.Specs[si].Col != c {
-					continue
-				}
-				if sp != nil {
-					dup = true
-					break
-				}
-				sp = &row.Specs[si]
-			}
-			if c == pkIdx {
-				if sp != nil {
-					hard = true // explicit spec on the auto-numbered key
-					continue
-				}
-				// The key auto-numbers this row's tuples [rowBase, rowBase+n):
-				// the conjunct restricts positions directly.
-				rowBuf = append(rowBuf[:0], value.Ival(rowBase, rowBase+n))
-				pkBuf = rowBuf.IntersectInto(pkBuf, P)
-				if len(pkBuf) == 0 {
-					skip = true
-					break
-				}
-				pkIvs = pkBuf
-				continue
-			}
-			if dup {
-				hard = true
-				continue
-			}
-			if sp == nil {
-				// Unspecced columns generate 0 on the columnar path.
-				if !P.Contains(0) {
-					skip = true
-					break
-				}
-				continue
-			}
-			if sp.Fixed != nil {
-				if !P.Contains(*sp.Fixed) {
-					skip = true
-					break
-				}
-				continue
-			}
-			S := sp.Set
-			m := S.IntersectLen(P)
-			switch {
-			case m == 0:
-				skip = true
-			case m == S.Len():
-				// Every cycled value matches: no restriction from this column.
-			case drive == nil:
-				drive, driveP = S, P
-			default:
-				// A second independently restricted cycling column: the first
-				// one's positions remain a valid superset, the residual filter
-				// supplies the conjunction.
-				hard = true
-			}
-			if skip {
-				break
-			}
-		}
-		if skip {
+		c := rc.classify(row, rowBase)
+		if c.kind == rowSkip {
 			pr.skipped++
 			continue
 		}
-		if hard {
+		if c.kind == rowMulti {
 			pr.absorbed = false
 		}
 
 		// Assemble this row's qualifying positions: the driving column's
 		// closed-form position set if one exists (and stays compact),
-		// clipped by any pk restriction.
-		lo, hi := rowBase, rowBase+n
+		// clipped by any pk restriction. restricted tells an empty
+		// restriction (skip the row) from none (keep it whole).
 		var pos value.IntervalSet
-		if drive != nil {
+		restricted := false
+		if c.drive >= 0 {
+			drive, driveP := rc.specs[c.drive].set, rc.predOf(c.drive)
 			L := drive.Len()
 			interBuf = drive.IntersectInto(interBuf, driveP)
 			rankBuf = cycle.Ranks(rankBuf, drive, interBuf)
@@ -249,26 +174,29 @@ func prunePred(pn *PlanNode, rel *synopsis.Relation, pkIdx int) *scanPrune {
 			} else {
 				pos = cycle.Positions(posBuf, rowBase, n, L, rankBuf)
 				posBuf = pos
+				restricted = true
 			}
 		}
-		switch {
-		case pos != nil && pkIvs != nil:
-			clipBuf = pos.IntersectInto(clipBuf, pkIvs)
-			pos = clipBuf
-		case pos == nil && pkIvs != nil:
-			pos = pkIvs
+		if c.pk != nil {
+			if restricted {
+				clipBuf = pos.IntersectInto(clipBuf, c.pk)
+				pos = clipBuf
+			} else {
+				pos = c.pk
+				restricted = true
+			}
 		}
-		if pos != nil {
-			if len(pos) == 0 {
-				pr.skipped++
-				continue
-			}
-			for _, iv := range pos {
-				pr.add(iv.Lo, iv.Hi)
-			}
+		if !restricted {
+			pr.add(rowBase, rowBase+n)
 			continue
 		}
-		pr.add(lo, hi)
+		if len(pos) == 0 {
+			pr.skipped++
+			continue
+		}
+		for _, iv := range pos {
+			pr.add(iv.Lo, iv.Hi)
+		}
 	}
 	pr.pruned = rel.Total - pr.total
 	if pr.pruned == 0 && !pr.absorbed {

@@ -9,15 +9,17 @@ package engine
 // back to regeneration otherwise, so results are byte-identical to the
 // regenerating executors by construction.
 //
-// Provability is judged per summary row against the generator's semantics
-// (generator.go): within a summary row of Count n, the tuple at offset w
-// takes value Set.At(w mod Set.Len()) for each cycling-set column (the phase
-// resets to zero at every summary row), fixed columns hold their value,
-// unspecced columns hold 0, and the primary key auto-numbers globally — row
-// j's tuples span [cum[j], cum[j]+n). A row is provable when at most one
-// cycling column is "driving" — partially restricted by the predicate or
-// enumerated as a GROUP BY key — and every cycling aggregate input coincides
-// with it. Everything the row contributes is then closed-form: with
+// Provability is judged per summary row by the shared row classifier
+// (classify.go), which reads the row as the generator expands it: within a
+// summary row of Count n, the tuple at offset w takes value
+// Set.At(w mod Set.Len()) for each cycling-set column (the phase resets to
+// zero at every summary row), fixed columns hold their value, unspecced
+// columns hold 0, and the primary key auto-numbers globally — row j's
+// tuples span [cum[j], cum[j]+n), which the classifier treats as a cycling
+// set. A row is provable when at most one cycling column is "driving" —
+// partially restricted by the predicate or enumerated as a GROUP BY key —
+// and every cycling aggregate input coincides with it. Everything the row
+// contributes is then closed-form: with
 // I = S ∩ P, cycles = n/L, and Pref the first n mod L points of S,
 //
 //	matches  = cycles·|I| + |I ∩ Pref|
@@ -57,21 +59,6 @@ import (
 type ApproxInfo struct {
 	Estimated bool    `json:"estimated"`
 	CI95      float64 `json:"ci95"`
-}
-
-// rowSpec is one needed column's resolved value law within one summary row:
-// a cycling interval set, or (set == nil) a fixed value.
-type rowSpec struct {
-	set   value.IntervalSet
-	fixed int64
-}
-
-// rowClass is the outcome of classifying one summary row.
-type rowClass struct {
-	skip bool // the row provably contributes nothing (predicate excludes it)
-	ok   bool // provably exact
-	hard bool // not even estimable (pathological spec the generator treats path-dependently)
-	e    int  // driving cycling column as an index into need, -1 when none
 }
 
 // aggContrib is one aggregate's exact contribution from one summary row (or
@@ -131,12 +118,9 @@ type summaryAggEval struct {
 	countOnly bool // OpAggregate root: bare COUNT(*), no select items
 	global    bool // no GROUP BY keys
 
-	need     []int               // needed table columns, ascending
-	pkPos    int                 // position of pk in need, -1 when unused
-	predOf   []value.IntervalSet // per need position: predicate set or nil
-	grpOf    []bool              // per need position: is a GROUP BY key
-	rs       []rowSpec           // per need position: resolved spec (per row)
-	explicit []bool              // per need position: spec seen (per row)
+	need  []int          // needed table columns, ascending
+	rc    *rowClassifier // the predicate over need; rc.specs is the current row's laws
+	grpOf []bool         // per need position: is a GROUP BY key
 
 	st      *groupAggState
 	contrib []aggContrib
@@ -144,10 +128,9 @@ type summaryAggEval struct {
 	apInfo  ApproxInfo
 
 	// Interval scratch, reused via write-back so steady state allocates
-	// nothing: pkBuf synthesizes the row's primary-key range, interBuf holds
-	// I = S ∩ P, prefBuf the cycle prefix, iprefBuf their intersection. All
-	// uses extract scalars before the next column touches them.
-	pkBuf    value.IntervalSet
+	// nothing: interBuf holds I = S ∩ P, prefBuf the cycle prefix, iprefBuf
+	// their intersection. All uses extract scalars before the next column
+	// touches them.
 	interBuf value.IntervalSet
 	prefBuf  value.IntervalSet
 	iprefBuf value.IntervalSet
@@ -218,19 +201,11 @@ func newSummaryAggEval(db *Database, cand *PlanNode, rel *synopsis.Relation) *su
 			e.need = addCol(e.need, a.Col)
 		}
 	}
-	e.pkPos = e.needPos(e.pk)
-	e.predOf = make([]value.IntervalSet, len(e.need))
-	if cand.Pred != nil {
-		for i, c := range cand.Pred.Cols {
-			e.predOf[e.needPos(c)] = cand.Pred.Sets[i]
-		}
-	}
+	e.rc = newRowClassifier(e.need, cand.Pred, e.pk)
 	e.grpOf = make([]bool, len(e.need))
 	for _, c := range cand.GroupBy {
-		e.grpOf[e.needPos(c)] = true
+		e.grpOf[e.rc.pos(c)] = true
 	}
-	e.rs = make([]rowSpec, len(e.need))
-	e.explicit = make([]bool, len(e.need))
 	e.cum = make([]int64, len(rel.Rows))
 	var run int64
 	for j := range rel.Rows {
@@ -244,132 +219,66 @@ func newSummaryAggEval(db *Database, cand *PlanNode, rel *synopsis.Relation) *su
 	return e
 }
 
-func (e *summaryAggEval) needPos(c int) int {
-	if c >= 0 {
-		for i, nc := range e.need {
-			if nc == c {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 // prove classifies every summary row: the fast path runs only when each row
 // either provably contributes nothing or is provably exact — or, under
-// approx on a global aggregate, at least estimable.
+// approx on a global aggregate, at least estimable (every row is).
 func (e *summaryAggEval) prove(approx bool) bool {
 	approx = approx && e.global
 	for j := range e.rel.Rows {
-		c := e.classify(&e.rel.Rows[j], j)
-		if c.skip || c.ok {
-			continue
-		}
-		if !approx || c.hard {
+		skip, ok, _ := e.judge(&e.rel.Rows[j], j)
+		if !skip && !ok && !approx {
 			return false
 		}
 	}
 	return true
 }
 
-// classify resolves the row's specs for the needed columns into e.rs and
-// judges the row. A predicate column whose values never match skips the row
-// outright, and skipping wins over non-provability: an excluded row
-// contributes exactly nothing no matter how many columns cycle.
-func (e *summaryAggEval) classify(row *synopsis.Row, j int) rowClass {
-	n := row.Count
-	if n == 0 {
-		return rowClass{skip: true}
+// judge classifies summary row j against the predicate (leaving its
+// resolved specs in e.rc.specs) and applies the aggregate rules on top: the
+// row is exact (ok) when at most one cycling column drives it — the
+// predicate's restricted column or key range, or a cycling GROUP BY key —
+// and every cycling aggregate input coincides with that column. drive is
+// the driving column's need position, -1 when none.
+func (e *summaryAggEval) judge(row *synopsis.Row, j int) (skip, ok bool, drive int) {
+	c := e.rc.classify(row, e.cum[j])
+	switch {
+	case c.kind == rowSkip:
+		return true, false, -1
+	case c.kind == rowMulti:
+		return false, false, -1 // two independently restricted cycling columns
+	case c.pk != nil && c.drive >= 0:
+		return false, false, -1 // a restricted key range and a restricted column
 	}
-	for i := range e.rs {
-		e.rs[i] = rowSpec{}
-		e.explicit[i] = false
+	drive = c.drive
+	if c.pk != nil {
+		drive = e.rc.pkPos // the key range cycles like any set, L = n
 	}
-	for si := range row.Specs {
-		sp := &row.Specs[si]
-		pos := e.needPos(sp.Col)
-		if pos < 0 {
+	specs := e.rc.specs
+	for _, col := range e.cand.GroupBy {
+		pos := e.rc.pos(col)
+		if specs[pos].set == nil {
 			continue
 		}
-		if sp.Col == e.pk || e.explicit[pos] {
-			// An explicit spec on the auto-numbered primary key, or a
-			// duplicate spec for one column: the generator's row-major and
-			// columnar paths disagree on these, so the row is neither
-			// provable nor estimable.
-			return rowClass{hard: true}
-		}
-		e.explicit[pos] = true
-		if sp.Fixed != nil {
-			e.rs[pos] = rowSpec{fixed: *sp.Fixed}
-		} else {
-			e.rs[pos] = rowSpec{set: sp.Set}
-		}
-	}
-	if e.pkPos >= 0 && !e.explicit[e.pkPos] {
-		e.pkBuf = append(e.pkBuf[:0], value.Ival(e.cum[j], e.cum[j]+n))
-		e.rs[e.pkPos] = rowSpec{set: e.pkBuf}
-	}
-
-	cls := rowClass{e: -1}
-	failed := false
-	if p := e.cand.Pred; p != nil {
-		for i, c := range p.Cols {
-			r := &e.rs[e.needPos(c)]
-			P := p.Sets[i]
-			if r.set == nil {
-				if !P.Contains(r.fixed) {
-					return rowClass{skip: true}
-				}
-				continue
-			}
-			m := r.set.IntersectLen(P)
-			switch {
-			case m == 0:
-				return rowClass{skip: true}
-			case m == r.set.Len():
-				// Every cycled value matches: no restriction.
-			default:
-				if cls.e >= 0 && cls.e != e.needPos(c) {
-					failed = true // two independently restricted cycling columns
-					continue
-				}
-				cls.e = e.needPos(c)
-			}
-		}
-	}
-	if failed {
-		return cls
-	}
-	for _, c := range e.cand.GroupBy {
-		pos := e.needPos(c)
-		if e.rs[pos].set == nil {
-			continue
-		}
-		if c == e.pk {
+		if col == e.pk {
 			// Grouping by the auto-numbered key means one group per tuple:
 			// enumeration would match regeneration's cost, so fall back.
-			return cls
+			return false, false, -1
 		}
-		if cls.e >= 0 && cls.e != pos {
-			return cls
+		if drive >= 0 && drive != pos {
+			return false, false, -1
 		}
-		cls.e = pos
+		drive = pos
 	}
 	for ai := range e.cand.Aggs {
-		c := e.cand.Aggs[ai].Col
-		if c < 0 {
+		col := e.cand.Aggs[ai].Col
+		if col < 0 {
 			continue
 		}
-		pos := e.needPos(c)
-		if e.rs[pos].set == nil {
-			continue
-		}
-		if cls.e >= 0 && cls.e != pos {
-			return cls
+		if pos := e.rc.pos(col); specs[pos].set != nil && drive >= 0 && drive != pos {
+			return false, false, -1
 		}
 	}
-	cls.ok = true
-	return cls
+	return false, true, drive
 }
 
 // open mirrors the evaluation as a childless SUMMARY AGG ExecNode and, when
@@ -398,11 +307,11 @@ func (e *summaryAggEval) run(ctl *execCtl, res *ExecResult, opts ExecOptions) er
 	e.ap.reset()
 	for j := range e.rel.Rows {
 		row := &e.rel.Rows[j]
-		c := e.classify(row, j)
+		skip, ok, drive := e.judge(row, j)
 		switch {
-		case c.skip:
-		case c.ok:
-			e.addRow(row, c)
+		case skip:
+		case ok:
+			e.addRow(row, drive)
 		default:
 			// prove admitted this row only under Approx on a global
 			// aggregate: estimate it.
@@ -439,10 +348,11 @@ func (e *summaryAggEval) width() int {
 	return len(e.cand.Items)
 }
 
-// addRow folds one provably exact summary row into the aggregation state.
-func (e *summaryAggEval) addRow(row *synopsis.Row, c rowClass) {
+// addRow folds one provably exact summary row, driven by the column at need
+// position drive (-1 for none), into the aggregation state.
+func (e *summaryAggEval) addRow(row *synopsis.Row, drive int) {
 	n := row.Count
-	if c.e < 0 {
+	if drive < 0 {
 		// No driving column: every tuple matches, keys are fixed, cycling
 		// aggregate inputs run full independent cycles.
 		e.fillKeys(-1, 0)
@@ -452,24 +362,24 @@ func (e *summaryAggEval) addRow(row *synopsis.Row, c rowClass) {
 		e.fold(n)
 		return
 	}
-	S := e.rs[c.e].set
+	S := e.rc.specs[drive].set
 	L := S.Len()
 	cycles, rem := n/L, n%L
 	I := S
-	if P := e.predOf[c.e]; P != nil {
+	if P := e.rc.predOf(drive); P != nil {
 		e.interBuf = S.IntersectInto(e.interBuf, P)
 		I = e.interBuf
 	}
 	e.prefBuf = S.PrefixInto(e.prefBuf, rem)
 	e.iprefBuf = I.IntersectInto(e.iprefBuf, e.prefBuf)
-	if e.grpOf[c.e] {
+	if e.grpOf[drive] {
 		// The driving column is a GROUP BY key: enumerate its matching
 		// values. With zero full cycles only the prefix's values occur, so
 		// the enumeration (like the whole evaluation) is bounded by n.
 		if cycles == 0 {
-			e.enumGroups(c.e, e.iprefBuf, 0)
+			e.enumGroups(drive, e.iprefBuf, 0)
 		} else {
-			e.enumGroups(c.e, I, cycles)
+			e.enumGroups(drive, I, cycles)
 		}
 		return
 	}
@@ -509,11 +419,11 @@ func (e *summaryAggEval) enumGroups(epos int, over value.IntervalSet, cycles int
 // position epos) takes v, every other key is fixed by classification.
 func (e *summaryAggEval) fillKeys(epos int, v int64) {
 	for ki, c := range e.cand.GroupBy {
-		pos := e.needPos(c)
+		pos := e.rc.pos(c)
 		if pos == epos {
 			e.st.keyBuf[ki] = v
 		} else {
-			e.st.keyBuf[ki] = e.rs[pos].fixed
+			e.st.keyBuf[ki] = e.rc.specs[pos].fixed
 		}
 	}
 }
@@ -556,7 +466,7 @@ func (e *summaryAggEval) fullCycleContrib(ai int, n int64) aggContrib {
 	if c < 0 {
 		return aggContrib{} // COUNT: answered from the group's tuple count
 	}
-	r := &e.rs[e.needPos(c)]
+	r := &e.rc.specs[e.rc.pos(c)]
 	if r.set == nil {
 		lo, hi := cycle.Mul128(r.fixed, n)
 		return aggContrib{sumLo: lo, sumHi: hi, min: r.fixed, max: r.fixed}
@@ -585,7 +495,7 @@ func (e *summaryAggEval) drivenContrib(ai int, I value.IntervalSet, cycles, cnt 
 	if c < 0 {
 		return aggContrib{}
 	}
-	r := &e.rs[e.needPos(c)]
+	r := &e.rc.specs[e.rc.pos(c)]
 	if r.set == nil {
 		lo, hi := cycle.Mul128(r.fixed, cnt)
 		return aggContrib{sumLo: lo, sumHi: hi, min: r.fixed, max: r.fixed}
@@ -609,7 +519,7 @@ func (e *summaryAggEval) pointContrib(ai int, v, cnt int64) aggContrib {
 	if c < 0 {
 		return aggContrib{}
 	}
-	r := &e.rs[e.needPos(c)]
+	r := &e.rc.specs[e.rc.pos(c)]
 	x := r.fixed
 	if r.set != nil {
 		x = v // the input is the driving column, by classification
@@ -622,13 +532,13 @@ func (e *summaryAggEval) pointContrib(ai int, v, cnt int64) aggContrib {
 // accumulators: cycling predicate columns are treated as independent, so
 // the row matches with probability frac = Π mᵢ/Lᵢ, contributing n·frac
 // expected rows with per-row variance frac·(1−frac). Classification has
-// already resolved e.rs for this row.
+// already resolved e.rc.specs for this row.
 func (e *summaryAggEval) estimateRow(row *synopsis.Row) {
 	n := row.Count
 	frac := 1.0
 	if p := e.cand.Pred; p != nil {
 		for i, c := range p.Cols {
-			r := &e.rs[e.needPos(c)]
+			r := &e.rc.specs[e.rc.pos(c)]
 			if r.set == nil {
 				continue // contained, or classification would have skipped
 			}
@@ -649,7 +559,7 @@ func (e *summaryAggEval) estimateRow(row *synopsis.Row) {
 			continue
 		}
 		a := &ap.aggs[ai]
-		r := &e.rs[e.needPos(c)]
+		r := &e.rc.specs[e.rc.pos(c)]
 		if r.set == nil {
 			a.sum += float64(r.fixed) * est
 			a.note(r.fixed, r.fixed)
@@ -661,7 +571,7 @@ func (e *summaryAggEval) estimateRow(row *synopsis.Row) {
 		cycles, rem := n/S.Len(), n%S.Len()
 		I := S
 		fracD := 1.0
-		if P := e.predOf[e.needPos(c)]; P != nil {
+		if P := e.rc.predOf(e.rc.pos(c)); P != nil {
 			e.interBuf = S.IntersectInto(e.interBuf, P)
 			I = e.interBuf
 			fracD = float64(I.Len()) / float64(S.Len())

@@ -12,6 +12,7 @@ package engine
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/generator"
@@ -236,35 +237,74 @@ func TestSummaryAggApprox(t *testing.T) {
 	}
 }
 
-// TestSummaryAggHardSpecs pins the defensive rejections: an explicit spec
-// on the auto-numbered primary key and duplicate specs for one column are
-// path-inconsistent in the generator, so when the query references such a
-// column the fast path must decline even under Approx. (Pathological specs
-// on columns a query never reads cannot affect its answer, so those stay
-// eligible.)
-func TestSummaryAggHardSpecs(t *testing.T) {
+// TestSetSummaryRejectsNonCanonical: the summary boundary replaces the
+// fast path's old defensive branches. An explicit spec on the
+// auto-numbered key, duplicate specs for one column, a non-canonical
+// cycling set, an out-of-domain code and overflowing counts are refused by
+// SetSummary with an error naming the table, row and column, nothing stays
+// registered, and the query regenerates (no summary-direct answer, even
+// under Approx; no pruning).
+func TestSetSummaryRejectsNonCanonical(t *testing.T) {
 	for name, tc := range map[string]struct {
-		rows []synopsis.Row
-		sql  string
+		rows   []synopsis.Row
+		sql    string
+		errHas string
 	}{
 		"pk spec": {
 			rows: []synopsis.Row{{Count: 5, Specs: []synopsis.ColSpec{
 				synopsis.FixedSpec(0, 42), synopsis.FixedSpec(1, 1),
 			}}},
-			sql: "SELECT COUNT(*) FROM m WHERE pk >= 0",
+			sql:    "SELECT COUNT(*) FROM m WHERE pk >= 0",
+			errHas: "m row 0 col pk",
 		},
 		"duplicate spec": {
 			rows: []synopsis.Row{{Count: 5, Specs: []synopsis.ColSpec{
 				synopsis.FixedSpec(1, 1), synopsis.FixedSpec(1, 2),
 			}}},
-			sql: "SELECT COUNT(*), SUM(a) FROM m WHERE a >= 0",
+			sql:    "SELECT COUNT(*), SUM(a) FROM m WHERE a >= 0",
+			errHas: "m row 0 col a",
+		},
+		"non-canonical set": {
+			rows: []synopsis.Row{{Count: 23, Specs: []synopsis.ColSpec{
+				{Col: 1, Set: value.IntervalSet{value.Ival(10, 20), value.Ival(0, 10), value.Ival(5, 8)}},
+			}}},
+			sql:    "SELECT COUNT(*) FROM m WHERE a < 10",
+			errHas: "m row 0 col a",
+		},
+		"out-of-domain code": {
+			rows: []synopsis.Row{
+				{Count: 2, Specs: []synopsis.ColSpec{synopsis.FixedSpec(2, 1)}},
+				{Count: 3, Specs: []synopsis.ColSpec{synopsis.SetSpec(2, set(value.Ival(990, 1001)))}},
+			},
+			sql:    "SELECT COUNT(*) FROM m WHERE b < 995",
+			errHas: "m row 1 col b",
+		},
+		"overflowing counts": {
+			rows:   []synopsis.Row{{Count: math.MaxInt64}, {Count: 1}},
+			sql:    "SELECT COUNT(*) FROM m",
+			errHas: "m row 1",
 		},
 	} {
-		db := saggDBRows(t, tc.rows)
+		s := saggSchema()
+		var total int64
+		for _, r := range tc.rows {
+			total += r.Count // wraps for the overflow case, as a decoded Total could
+		}
+		rel := &synopsis.Relation{Table: "m", Total: total, Rows: tc.rows}
+		db := NewDatabase(s)
+		tab := s.Table("m")
+		db.SetDatagen("m", func() (RowSource, error) { return generator.NewStream(tab, rel), nil })
+		err := db.SetSummary("m", rel)
+		if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+			t.Fatalf("%s: SetSummary error %v, want one naming %q", name, err, tc.errHas)
+		}
+		if db.Summary("m") != nil {
+			t.Fatalf("%s: refused summary stayed registered", name)
+		}
 		for _, opts := range []ExecOptions{{}, {Approx: true}} {
 			res := saggExec(t, db, tc.sql, opts)
 			if res.Path == PathSummary {
-				t.Errorf("%s (approx=%v): pathological row was answered summary-directly", name, opts.Approx)
+				t.Errorf("%s (approx=%v): refused summary answered summary-directly", name, opts.Approx)
 			}
 		}
 	}

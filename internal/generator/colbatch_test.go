@@ -6,50 +6,26 @@ import (
 	"repro/internal/batch"
 )
 
-// collectColBatches drains a stream via the projected columnar path,
-// assembling full-width rows with unprojected columns left at the sentinel.
-func collectColBatches(s *Stream, capRows int, cols []int) [][]int64 {
-	const sentinel = -999
-	var out [][]int64
-	b := batch.NewCol(s.Cols(), capRows, cols)
-	for s.NextColBatch(b, cols) {
-		for i := 0; i < b.Len(); i++ {
-			row := make([]int64, s.Cols())
-			for j := range row {
-				row[j] = sentinel
-			}
-			for _, c := range cols {
-				row[c] = b.Col(c)[i]
-			}
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
-// TestNextColBatchMatchesNextBatch holds every projected column of the
-// columnar path byte-identical to the row path, across projections (single
-// column, subsets, full width) and capacities that force segment and batch
+// TestNextColBatchMatchesOracle holds every projected column of the
+// columnar kernel to the spec oracle, across projections (single column,
+// subsets, full width) and capacities that force segment and batch
 // boundaries.
-func TestNextColBatchMatchesNextBatch(t *testing.T) {
+func TestNextColBatchMatchesOracle(t *testing.T) {
 	tbl := genTable()
-	rel := edgeSummary()
-	want := collectRows(NewStream(tbl, rel))
-	all := make([]int, len(tbl.Columns))
-	for i := range all {
-		all[i] = i
-	}
-	for _, cols := range [][]int{{0}, {1}, {2}, {0, 2}, {1, 2}, all} {
-		for _, capRows := range []int{1, 3, 5, 11, 17, 1000} {
-			got := collectColBatches(NewStream(tbl, rel), capRows, cols)
-			if len(got) != len(want) {
-				t.Fatalf("cols %v cap %d: %d rows, want %d", cols, capRows, len(got), len(want))
-			}
-			for i := range want {
-				for _, c := range cols {
-					if got[i][c] != want[i][c] {
-						t.Fatalf("cols %v cap %d: row %d col %d = %d, want %d",
-							cols, capRows, i, c, got[i][c], want[i][c])
+	for name, rel := range partitionSummaries() {
+		want := oracleRows(tbl, rel)
+		for _, cols := range [][]int{{0}, {1}, {2}, {0, 2}, {1, 2}, allCols(len(tbl.Columns))} {
+			for _, capRows := range oracleCaps {
+				got := drainCols(NewStream(tbl, rel), len(tbl.Columns), capRows, cols)
+				if len(got) != len(want) {
+					t.Fatalf("%s cols %v cap %d: %d rows, want %d", name, cols, capRows, len(got), len(want))
+				}
+				for i := range want {
+					for _, c := range cols {
+						if got[i][c] != want[i][c] {
+							t.Fatalf("%s cols %v cap %d: row %d col %d = %d, want %d",
+								name, cols, capRows, i, c, got[i][c], want[i][c])
+						}
 					}
 				}
 			}
@@ -73,25 +49,27 @@ func TestNextColBatchEmptyProjection(t *testing.T) {
 }
 
 // TestNextColBatchSections: concatenated sections of the projected
-// columnar stream reproduce the full stream exactly (the contract the
-// parallel columnar executor schedules over).
+// columnar stream reproduce the oracle exactly (the contract the parallel
+// columnar executor schedules over).
 func TestNextColBatchSections(t *testing.T) {
 	tbl := genTable()
 	rel := edgeSummary()
 	cols := []int{0, 2}
-	want := collectColBatches(NewStream(tbl, rel), 5, cols)
+	want := oracleRows(tbl, rel)
 	for _, parts := range []int{1, 2, 3, 5, 17, 40} {
-		var got [][]int64
-		for _, p := range NewStream(tbl, rel).Partition(parts) {
-			got = append(got, collectColBatches(p, 5, cols)...)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%d parts: %d rows, want %d", parts, len(got), len(want))
-		}
-		for i := range want {
-			for _, c := range cols {
-				if got[i][c] != want[i][c] {
-					t.Fatalf("%d parts: row %d col %d = %d, want %d", parts, i, c, got[i][c], want[i][c])
+		for _, capRows := range oracleCaps {
+			var got [][]int64
+			for _, p := range NewStream(tbl, rel).Partition(parts) {
+				got = append(got, drainCols(p, len(tbl.Columns), capRows, cols)...)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d parts: %d rows, want %d", parts, len(got), len(want))
+			}
+			for i := range want {
+				for _, c := range cols {
+					if got[i][c] != want[i][c] {
+						t.Fatalf("%d parts cap %d: row %d col %d = %d, want %d", parts, capRows, i, c, got[i][c], want[i][c])
+					}
 				}
 			}
 		}

@@ -5,11 +5,14 @@
 // produced in memory the generation velocity can be regulated precisely
 // (the rows/sec slider of the demo's vendor interface).
 //
-// Generation is batched: NextBatch expands a summary row's Count tuples in
-// a tight per-column loop, hoisting the Fixed/Set dispatch out of the row
-// loop and replacing the per-row modulo of the cycling sets with an
-// incrementing interval cursor. The row-at-a-time Next is a thin view over
-// an internal batch, so both paths share one generation kernel.
+// Generation has one kernel, the columnar NextColBatch: it expands a
+// summary row's Count tuples one projected column at a time, hoisting the
+// Fixed/Set dispatch out of the row loop and replacing the per-row modulo
+// of the cycling sets with an incrementing interval cursor. Every other
+// access style is a view over it: Next pivots rows out of an internal
+// full-width column batch, Section/Partition/SectionSet bound its row
+// range, and Paced credits its batches against a rate. Each tuple is the
+// pure function of the summary described in package synopsis.
 package generator
 
 import (
@@ -25,8 +28,8 @@ import (
 // Stream yields the coded rows of one relation summary in primary-key
 // order: summary row j expands to its Count tuples, and tuple i (globally)
 // receives primary key i. Stream implements engine.RowSource and
-// batch.Source. Use one access style per stream — Next buffers rows
-// internally, so interleaving it with direct NextBatch calls would skip
+// batch.ColProjector. Use one access style per stream — Next buffers rows
+// internally, so interleaving it with direct NextColBatch calls would skip
 // the buffered tail.
 //
 // Because generation is a pure function of the summary, a stream's row
@@ -55,10 +58,12 @@ type Stream struct {
 	cum     []int64
 	cumOnce sync.Once
 
-	// Row-at-a-time adapter state: Next serves views into buf.
-	buf    *batch.Batch
-	flat   []int64 // buf's row-major data
-	cursor int     // offset of the next row within flat
+	// Row-at-a-time view state: Next serves rows of flat, the row-major
+	// pivot of view, a full-width column batch.
+	view   *batch.ColBatch
+	all    []int // every column index: view's projection
+	flat   []int64
+	cursor int // offset of the next row within flat
 }
 
 // NewStream opens a generation stream over a relation synopsis.
@@ -139,7 +144,7 @@ func (s *Stream) seekTo(g int64) {
 	}
 	s.pk = g
 	// Invalidate the row-at-a-time view: buffered rows predate the seek.
-	s.flat = nil
+	s.flat = s.flat[:0]
 	s.cursor = 0
 }
 
@@ -178,7 +183,7 @@ func (s *Stream) section(lo, hi int64) *Stream {
 // concatenation in range order reproduces the parent exactly. Together
 // with Total this implements the parallel.Source contract the engine's
 // morsel-driven executor schedules over.
-func (s *Stream) Section(lo, hi int64) batch.Source { return s.section(lo, hi) }
+func (s *Stream) Section(lo, hi int64) batch.ColProjector { return s.section(lo, hi) }
 
 // Partition splits the stream's own row range into n contiguous
 // sub-streams of near-equal size (n < 1 is treated as 1). When n exceeds
@@ -202,90 +207,41 @@ func (s *Stream) Partition(n int) []*Stream {
 // Cols returns the width of generated rows.
 func (s *Stream) Cols() int { return len(s.table.Columns) }
 
-// Next produces the next tuple. The returned slice is reused across calls;
-// callers that retain rows must copy them.
+// Next produces the next tuple, pivoted out of a full-width batch of the
+// columnar kernel. The returned slice is reused across calls; callers that
+// retain rows must copy them.
 //
 //hydra:hotpath
 func (s *Stream) Next() ([]int64, bool) {
 	if s.cursor >= len(s.flat) {
-		if s.buf == nil {
-			s.buf = batch.New(len(s.table.Columns), 0)
+		if s.view == nil {
+			s.initView()
 		}
-		if !s.NextBatch(s.buf) {
+		if !s.NextColBatch(s.view, s.all) {
 			return nil, false
 		}
-		s.flat = s.buf.Data()
+		s.flat = s.view.AppendRows(s.flat[:0])
 		s.cursor = 0
 	}
-	ncols := len(s.table.Columns)
+	ncols := len(s.all)
 	row := s.flat[s.cursor : s.cursor+ncols : s.cursor+ncols]
 	s.cursor += ncols
 	return row, true
 }
 
-// tileRows bounds how many rows one column-fill pass covers. A tile of
-// 128 rows times a typical row width stays within the L1 cache, so the
-// per-spec passes over a tile hit L1 instead of re-walking the whole
-// batch (one cache line per row) once per column.
-const tileRows = 128
+// viewRows is the capacity of Next's full-width batch: small enough that
+// the column fill and its row-major pivot stay in cache for wide tables.
+const viewRows = 128
 
-// NextBatch resets dst and fills it with up to dst.Cap() generated rows,
-// reporting whether any were produced. dst must have width Cols(). A
-// Section or Partition sub-stream stops at its range's upper bound.
+// initView allocates Next's full-width batch on first use.
 //
-//hydra:hotpath
-func (s *Stream) NextBatch(dst *batch.Batch) bool {
-	dst.Reset()
-	s.fillBatch(dst)
-	return dst.Len() > 0
-}
-
-// fillBatch appends generated rows to dst without resetting it, until dst
-// is full or the stream's range is exhausted. SectionSet splices several
-// range segments into one batch through this.
-//
-//hydra:hotpath
-func (s *Stream) fillBatch(dst *batch.Batch) {
-	ncols := len(s.table.Columns)
-	for !dst.Full() && s.pk < s.end && s.rowIdx < len(s.rel.Rows) {
-		row := &s.rel.Rows[s.rowIdx]
-		if s.within >= row.Count {
-			s.rowIdx++
-			s.within = 0
-			continue
-		}
-		k := row.Count - s.within
-		if k > tileRows {
-			k = tileRows
-		}
-		if left := s.end - s.pk; k > left {
-			k = left
-		}
-		if free := int64(dst.Cap() - dst.Len()); k > free {
-			k = free
-		}
-		out := dst.Extend(int(k))
-		if s.pkIdx >= 0 {
-			pk := s.pk
-			for off := s.pkIdx; off < len(out); off += ncols {
-				out[off] = pk
-				pk++
-			}
-		}
-		for si := range row.Specs {
-			sp := &row.Specs[si]
-			if sp.Fixed != nil {
-				v := *sp.Fixed
-				for off := sp.Col; off < len(out); off += ncols {
-					out[off] = v
-				}
-				continue
-			}
-			fillCycling(out, sp.Col, ncols, sp.Set, s.within)
-		}
-		s.within += k
-		s.pk += k
+//hydra:coldpath
+func (s *Stream) initView() {
+	s.all = make([]int, len(s.table.Columns))
+	for c := range s.all {
+		s.all[c] = c
 	}
+	s.view = batch.NewCol(len(s.all), viewRows, s.all)
 }
 
 // NextColBatch resets dst and fills it with up to dst.Cap() generated rows
@@ -294,11 +250,10 @@ func (s *Stream) fillBatch(dst *batch.Batch) {
 // never touched: no storage is read or written for them, so a query
 // needing three of a table's twenty-plus columns pays for three. Every
 // projected column of a summary-row segment is filled in one unit-stride
-// pass (fixed values and primary keys as straight stores, cycling sets via
-// the same phase-aligned cursor as the row-major path), so the values are
-// byte-identical to NextBatch's, column by column. Stream implements
-// batch.ColProjector; a Section or Partition sub-stream stops at its
-// range's upper bound.
+// pass: primary keys and fixed values as straight stores, cycling sets via
+// a phase-aligned interval cursor, unspecced columns as 0. Stream
+// implements batch.ColProjector; a Section or Partition sub-stream stops at
+// its range's upper bound.
 //
 //hydra:hotpath
 func (s *Stream) NextColBatch(dst *batch.ColBatch, cols []int) bool {
@@ -350,7 +305,7 @@ func (s *Stream) fillColBatch(dst *batch.ColBatch, cols []int) {
 						seg[i] = v
 					}
 				} else {
-					fillCycling(seg, 0, 1, sp.Set, s.within)
+					fillCycling(seg, sp.Set, s.within)
 				}
 				filled = true
 				break
@@ -366,13 +321,12 @@ func (s *Stream) fillColBatch(dst *batch.ColBatch, cols []int) {
 	}
 }
 
-// fillCycling writes the cycling-set column col of a row-major segment:
-// value i of the segment is set.At((start+i) mod set.Len()), the same
-// deterministic fan-out as the row-at-a-time path (foreign keys spread
-// evenly across the referenced key range, as the paper's alignment
-// intends). The modulo and rank search run once per segment; the loop then
-// walks the interval set with an incrementing cursor.
-func fillCycling(out []int64, col, stride int, set value.IntervalSet, start int64) {
+// fillCycling writes a cycling-set column segment: value i of seg is
+// set.At((start+i) mod set.Len()), the deterministic fan-out that spreads
+// foreign keys evenly across the referenced key range, as the paper's
+// alignment intends. The modulo and rank search run once per segment; the
+// loop then walks the interval set with an incrementing cursor.
+func fillCycling(seg []int64, set value.IntervalSet, start int64) {
 	rank := start % set.Len()
 	iv := 0
 	for rank >= set[iv].Len() {
@@ -381,8 +335,8 @@ func fillCycling(out []int64, col, stride int, set value.IntervalSet, start int6
 	}
 	v := set[iv].Lo + rank
 	hi := set[iv].Hi
-	for off := col; off < len(out); off += stride {
-		out[off] = v
+	for i := range seg {
+		seg[i] = v
 		v++
 		if v == hi {
 			iv++
@@ -402,15 +356,14 @@ func fillCycling(out []int64, col, stride int, set value.IntervalSet, start int6
 // sleep overshoot (which on a typical kernel is tens of microseconds to a
 // millisecond per sleep) is automatically credited back — the achieved rate
 // converges to the requested one instead of drifting low. Batches are
-// credited wholesale: NextBatch waits until its first row is due, then
+// credited wholesale: NextColBatch waits until its first row is due, then
 // advances the schedule by the whole batch, so the achieved rate still
 // converges while the per-row syscall overhead disappears.
 type Paced struct {
-	src interface {
-		Next() ([]int64, bool)
-	}
-	interval time.Duration // time budget per row
-	due      time.Time     // when the next row is due
+	src      batch.RowSource
+	proj     batch.ColProjector // src's columnar view (batch.FromRows)
+	interval time.Duration      // time budget per row
+	due      time.Time          // when the next row is due
 	started  bool
 
 	// now and sleep are the limiter's clock, injectable by tests so the
@@ -424,10 +377,8 @@ type Paced struct {
 const maxBurstBehind = 100 * time.Millisecond
 
 // NewPaced limits src to rowsPerSec rows per second.
-func NewPaced(src interface {
-	Next() ([]int64, bool)
-}, rowsPerSec float64) *Paced {
-	p := &Paced{src: src, now: time.Now, sleep: time.Sleep}
+func NewPaced(src batch.RowSource, rowsPerSec float64) *Paced {
+	p := &Paced{src: src, proj: batch.FromRows(src), now: time.Now, sleep: time.Sleep}
 	if rowsPerSec > 0 {
 		p.interval = time.Duration(float64(time.Second) / rowsPerSec)
 	}
@@ -445,31 +396,17 @@ func (p *Paced) Next() ([]int64, bool) {
 	return p.src.Next()
 }
 
-// NextBatch produces the next batch no sooner than the rate allows,
-// crediting exactly the rows the batch actually holds against the
+// NextColBatch produces the next column batch no sooner than the rate
+// allows, crediting exactly the rows the batch actually holds against the
 // absolute schedule — a partial final batch advances the schedule by its
-// own length, not the batch capacity, so tiny trailing batches cannot
-// drift the achieved rate. When the wrapped source is not batch-capable
-// the batch is assembled row by row (unpaced) and then credited wholesale,
-// identical to the batch-capable path; in particular the Next call that
-// discovers exhaustion no longer charges a phantom row.
-func (p *Paced) NextBatch(dst *batch.Batch) bool {
-	if bs, ok := p.src.(batch.Source); ok {
-		if !bs.NextBatch(dst) {
-			return false
-		}
-	} else {
-		dst.Reset()
-		for !dst.Full() {
-			row, ok := p.src.Next()
-			if !ok {
-				break
-			}
-			copy(dst.Append(), row)
-		}
-		if dst.Len() == 0 {
-			return false
-		}
+// own length, not the batch capacity, so tiny trailing batches cannot drift
+// the achieved rate, and the call that discovers exhaustion charges
+// nothing. Generation runs through the wrapped source's own NextColBatch
+// (the columnar kernel, for a Stream), so a paced scan produces exactly the
+// tuples an unpaced one does.
+func (p *Paced) NextColBatch(dst *batch.ColBatch, cols []int) bool {
+	if !p.proj.NextColBatch(dst, cols) {
+		return false
 	}
 	if p.interval > 0 {
 		p.pace(int64(dst.Len()))

@@ -70,54 +70,46 @@ func partitionSummaries() map[string]*synopsis.Relation {
 		"edge":      edgeSummary(),
 		"cycling":   bigCyclingSummary(),
 		"singleRow": singleRowSummary(),
+		"unspecced": unspeccedSummary(),
 		"empty":     {Table: "t"},
 	}
 }
 
-// drainSource collects every row a batch source produces.
-func drainSource(src batch.Source, cols, capRows int) [][]int64 {
-	var out [][]int64
-	b := batch.New(cols, capRows)
-	for src.NextBatch(b) {
-		for i := 0; i < b.Len(); i++ {
-			out = append(out, append([]int64(nil), b.Row(i)...))
-		}
-	}
-	return out
-}
-
 // TestPartitionConcatenationParity is the core partitioning contract: for
 // every summary shape and partition count — including counts far larger
-// than Total — concatenating the partitions' outputs is byte-identical to
-// the sequential stream.
+// than Total — concatenating the partitions' outputs reproduces the spec
+// oracle exactly.
 func TestPartitionConcatenationParity(t *testing.T) {
 	tbl := genTable()
 	for name, rel := range partitionSummaries() {
-		want := collectRows(NewStream(tbl, rel))
+		want := oracleRows(tbl, rel)
 		for _, n := range []int{1, 2, 3, 5, 7, 16, 100, 2000} {
-			parts := NewStream(tbl, rel).Partition(n)
-			if len(parts) != n {
-				t.Fatalf("%s: Partition(%d) returned %d streams", name, n, len(parts))
+			for _, capRows := range oracleCaps {
+				parts := NewStream(tbl, rel).Partition(n)
+				if len(parts) != n {
+					t.Fatalf("%s: Partition(%d) returned %d streams", name, n, len(parts))
+				}
+				var got [][]int64
+				var sumTotals int64
+				for _, p := range parts {
+					sumTotals += p.Total()
+					got = append(got, drainSource(p, p.Cols(), capRows)...)
+				}
+				if sumTotals != rel.Total {
+					t.Fatalf("%s n=%d: partition totals sum to %d, want %d", name, n, sumTotals, rel.Total)
+				}
+				sameRows(t, name, got, want)
 			}
-			var got [][]int64
-			var sumTotals int64
-			for _, p := range parts {
-				sumTotals += p.Total()
-				got = append(got, drainSource(p, p.Cols(), 3)...)
-			}
-			if sumTotals != rel.Total {
-				t.Fatalf("%s n=%d: partition totals sum to %d, want %d", name, n, sumTotals, rel.Total)
-			}
-			sameRows(t, name, got, want)
 		}
 	}
 }
 
-// TestSectionParity checks arbitrary (including degenerate) row ranges.
+// TestSectionParity checks arbitrary (including degenerate) row ranges
+// against the spec oracle.
 func TestSectionParity(t *testing.T) {
 	tbl := genTable()
 	for name, rel := range partitionSummaries() {
-		want := collectRows(NewStream(tbl, rel))
+		want := oracleRows(tbl, rel)
 		parent := NewStream(tbl, rel)
 		bounds := []struct{ lo, hi int64 }{
 			{0, rel.Total},                   // full range
@@ -143,23 +135,28 @@ func TestSectionParity(t *testing.T) {
 			if ch < cl {
 				ch = cl
 			}
-			got := drainSource(parent.Section(lo, hi), len(tbl.Columns), 4)
-			sameRows(t, name, got, want[cl:ch])
+			for _, capRows := range oracleCaps {
+				got := drainSource(parent.Section(lo, hi), len(tbl.Columns), capRows)
+				sameRows(t, name, got, want[cl:ch])
+			}
 		}
 	}
 }
 
 // TestSeekRowMatchesSequential seeks to every position of every summary —
 // in particular positions landing mid-cycling-interval — and requires the
-// remainder of the stream to equal the sequential tail, through both the
-// batch and the row-at-a-time access paths.
+// remainder of the stream to equal the oracle's tail, through both the
+// column-batch and the row-at-a-time access paths.
 func TestSeekRowMatchesSequential(t *testing.T) {
 	tbl := genTable()
 	for name, rel := range partitionSummaries() {
-		want := collectRows(NewStream(tbl, rel))
+		want := oracleRows(tbl, rel)
 		step := int64(1)
 		if rel.Total > 64 {
 			step = 13 // sample positions, keeping mid-interval phases
+		}
+		if rel.Total > 1000 {
+			step = 97
 		}
 		for i := int64(0); i <= rel.Total; i += step {
 			s := NewStream(tbl, rel)
@@ -179,7 +176,7 @@ func TestSeekRowMatchesSequential(t *testing.T) {
 func TestSeekRowAfterConsumption(t *testing.T) {
 	tbl := genTable()
 	rel := bigCyclingSummary()
-	want := collectRows(NewStream(tbl, rel))
+	want := oracleRows(tbl, rel)
 	s := NewStream(tbl, rel)
 	for i := 0; i < 100; i++ {
 		s.Next()
@@ -200,9 +197,7 @@ func TestSeekRowAfterConsumption(t *testing.T) {
 // credited by the rows they actually hold, and source exhaustion charges
 // nothing.
 func TestPacedBatchScheduleExact(t *testing.T) {
-	run := func(name string, wrap func(*Stream) interface {
-		Next() ([]int64, bool)
-	}) {
+	run := func(name string, wrap func(*Stream) batch.RowSource) {
 		rel := &synopsis.Relation{Table: "t", Total: 10, Rows: []synopsis.Row{
 			{Count: 10, Specs: []synopsis.ColSpec{
 				synopsis.FixedSpec(1, 1),
@@ -216,9 +211,10 @@ func TestPacedBatchScheduleExact(t *testing.T) {
 		p.now = func() time.Time { return clock }
 		p.sleep = func(d time.Duration) { slept = append(slept, d); clock = clock.Add(d) }
 
-		b := batch.New(3, 4)
+		all := allCols(3)
+		b := batch.NewCol(3, 4, all)
 		var lens []int
-		for p.NextBatch(b) {
+		for p.NextColBatch(b, all) {
 			lens = append(lens, b.Len())
 		}
 		if len(lens) != 3 || lens[0] != 4 || lens[1] != 4 || lens[2] != 2 {
@@ -241,16 +237,8 @@ func TestPacedBatchScheduleExact(t *testing.T) {
 			t.Fatalf("%s: schedule ends at %v, want %v", name, p.due, want)
 		}
 	}
-	run("batch source", func(s *Stream) interface {
-		Next() ([]int64, bool)
-	} {
-		return s
-	})
-	run("row fallback", func(s *Stream) interface {
-		Next() ([]int64, bool)
-	} {
-		return rowOnly{s}
-	})
+	run("column source", func(s *Stream) batch.RowSource { return s })
+	run("row fallback", func(s *Stream) batch.RowSource { return rowOnly{s} })
 }
 
 // TestConcurrentSections drives Section from many goroutines against one
@@ -260,7 +248,7 @@ func TestPacedBatchScheduleExact(t *testing.T) {
 func TestConcurrentSections(t *testing.T) {
 	tbl := genTable()
 	rel := bigCyclingSummary()
-	want := collectRows(NewStream(tbl, rel))
+	want := oracleRows(tbl, rel)
 	parent := NewStream(tbl, rel)
 	const workers = 8
 	var wg sync.WaitGroup
@@ -305,7 +293,7 @@ func TestConcurrentSections(t *testing.T) {
 func TestNestedSections(t *testing.T) {
 	tbl := genTable()
 	rel := bigCyclingSummary()
-	want := collectRows(NewStream(tbl, rel))
+	want := oracleRows(tbl, rel)
 	parts := NewStream(tbl, rel).Partition(4)
 	quarter := rel.Total / 4
 	for k, p := range parts {

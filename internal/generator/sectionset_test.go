@@ -45,27 +45,18 @@ func ssTable() (*schema.Table, *synopsis.Relation) {
 	return t, rel
 }
 
-// collect drains a batch source into row-major rows.
-func collect(t *testing.T, src batch.Source, width int) [][]int64 {
+// collect drains a column source into full-width rows.
+func collect(t *testing.T, src batch.ColProjector, width int) [][]int64 {
 	t.Helper()
-	b := batch.New(width, 32)
-	var out [][]int64
-	for src.NextBatch(b) {
-		data := b.Data()
-		for i := 0; i+width <= len(data); i += width {
-			out = append(out, append([]int64(nil), data[i:i+width]...))
-		}
-	}
-	return out
+	return drainSource(src, width, 32)
 }
 
-// reference generates the full stream and keeps rows whose global index
-// falls in ivs — the generate-then-filter semantics SectionSet must match.
+// reference keeps the oracle's rows whose global index falls in ivs — the
+// generate-then-filter semantics SectionSet must match.
 func reference(t *testing.T, tab *schema.Table, rel *synopsis.Relation, ivs value.IntervalSet) [][]int64 {
 	t.Helper()
-	full := collect(t, NewStream(tab, rel), len(tab.Columns))
 	var out [][]int64
-	for g, row := range full {
+	for g, row := range oracleRows(tab, rel) {
 		if ivs.Contains(int64(g)) {
 			out = append(out, row)
 		}
@@ -97,6 +88,12 @@ func TestSectionSetByteIdentical(t *testing.T) {
 			got := collect(t, ss, len(tab.Columns))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("rows = %v, want %v", got, want)
+			}
+			for _, capRows := range oracleCaps {
+				got := drainSource(NewStream(tab, rel).sectionSet(tc.ivs), len(tab.Columns), capRows)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("cap %d: rows = %v, want %v", capRows, got, want)
+				}
 			}
 
 			// Column-major with projection must agree column by column.

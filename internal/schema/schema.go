@@ -228,6 +228,18 @@ func (s *Schema) Table(name string) *Table {
 // sane domains, sorted dictionaries, and an acyclic foreign-key graph.
 func (s *Schema) Validate() error {
 	seen := make(map[string]bool, len(s.Tables))
+	// Null entries are rejected up front: name lookups below walk every
+	// table and column.
+	for _, t := range s.Tables {
+		if t == nil {
+			return fmt.Errorf("schema: null table")
+		}
+		for _, c := range t.Columns {
+			if c == nil {
+				return fmt.Errorf("schema: table %s: null column", t.Name)
+			}
+		}
+	}
 	for _, t := range s.Tables {
 		if t.Name == "" {
 			return fmt.Errorf("schema: table with empty name")

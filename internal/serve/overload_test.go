@@ -37,17 +37,21 @@ func (g *slowR) Next() ([]int64, bool) {
 	return row, true
 }
 
-func (g *slowR) NextBatch(dst *batch.Batch) bool {
+func (g *slowR) NextColBatch(dst *batch.ColBatch, cols []int) bool {
 	if d := g.delayNS.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
 	dst.Reset()
-	for !dst.Full() && g.pos < g.total {
-		row := dst.Append()
-		row[0], row[1], row[2] = g.pos, g.pos%7, g.pos%5
+	n := 0
+	for ; n < dst.Cap() && g.pos < g.total; n++ {
+		row := [3]int64{g.pos, g.pos % 7, g.pos % 5}
 		g.pos++
+		dst.SetLen(n + 1)
+		for _, c := range cols {
+			dst.Col(c)[n] = row[c]
+		}
 	}
-	return dst.Len() > 0
+	return n > 0
 }
 
 // slowServer builds a server over the toy summary whose r scans stream

@@ -10,6 +10,23 @@
 // tuple generator, the engine's summary-direct aggregate fast path) can
 // share them without import cycles. Package summary re-exports everything
 // via type aliases; code above the engine should keep importing summary.
+//
+// A summary row has exactly one meaning, the one the tuple generator
+// expands: within a row of Count n starting at global tuple index base, the
+// tuple at offset w (0 <= w < n) has
+//
+//   - primary key base+w (auto-numbered; a spec on the key is invalid),
+//   - value v in a column with a fixed spec v,
+//   - value Set.At(w mod Set.Len()) in a column with a cycling spec Set,
+//   - value 0 in every other column (an unspecced non-key column is 0).
+//
+// Validate enforces the canonical form every consumer relies on: at most
+// one spec per column, each spec either fixed or a non-empty canonical
+// interval set (sorted, non-empty, non-adjacent intervals), every code
+// inside the column's domain, and counts whose running sum fits in int64
+// and equals Total. Validate rejects; it never normalizes, since
+// normalizing a cycling set reorders the values it cycles through and so
+// changes the regenerated data.
 package synopsis
 
 import (
@@ -18,6 +35,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -81,26 +100,71 @@ func (r *Relation) AxisIndex(key string) int {
 	return -1
 }
 
-// Validate checks internal consistency: counts non-negative and summing to
-// Total, every spec either fixed or a non-empty set.
+// Validate checks that the relation is in canonical form against its
+// table (see the package doc): counts non-negative, summing without
+// overflow to Total; at most one spec per column and none on the primary
+// key; each spec either a fixed code or a non-empty canonical interval set;
+// every code inside the column's domain. Errors name the table, row and
+// column.
 func (r *Relation) Validate(t *schema.Table) error {
+	pk := t.PKIndex()
+	seen := make([]int, len(t.Columns)) // seen[c] = 1 + last row index specifying c
 	var sum int64
 	for i, row := range r.Rows {
 		if row.Count < 0 {
-			return fmt.Errorf("summary: %s row %d: negative count", r.Table, i)
+			return fmt.Errorf("summary: %s row %d: negative count %d", t.Name, i, row.Count)
+		}
+		if sum > math.MaxInt64-row.Count {
+			return fmt.Errorf("summary: %s row %d: tuple counts overflow int64", t.Name, i)
 		}
 		sum += row.Count
 		for _, sp := range row.Specs {
 			if sp.Col < 0 || sp.Col >= len(t.Columns) {
-				return fmt.Errorf("summary: %s row %d: bad column %d", r.Table, i, sp.Col)
+				return fmt.Errorf("summary: %s row %d: bad column %d", t.Name, i, sp.Col)
 			}
-			if sp.Fixed == nil && sp.Set.Empty() {
-				return fmt.Errorf("summary: %s row %d col %d: empty spec", r.Table, i, sp.Col)
+			col := t.Columns[sp.Col]
+			if sp.Col == pk {
+				return fmt.Errorf("summary: %s row %d col %s: spec on the auto-numbered primary key", t.Name, i, col.Name)
+			}
+			if seen[sp.Col] == i+1 {
+				return fmt.Errorf("summary: %s row %d col %s: more than one spec", t.Name, i, col.Name)
+			}
+			seen[sp.Col] = i + 1
+			if err := checkSpec(sp, col); err != nil {
+				return fmt.Errorf("summary: %s row %d col %s: %w", t.Name, i, col.Name, err)
 			}
 		}
 	}
 	if sum != r.Total {
-		return fmt.Errorf("summary: %s: rows sum to %d, total is %d", r.Table, sum, r.Total)
+		return fmt.Errorf("summary: %s: rows sum to %d, total is %d", t.Name, sum, r.Total)
+	}
+	return nil
+}
+
+// checkSpec validates one spec against its column's domain.
+func checkSpec(sp ColSpec, col *schema.Column) error {
+	if sp.Fixed != nil {
+		if sp.Set != nil {
+			return fmt.Errorf("spec is both fixed and cycling")
+		}
+		if v := *sp.Fixed; v < col.DomainLo || v >= col.DomainHi {
+			return fmt.Errorf("fixed code %d outside domain [%d,%d)", v, col.DomainLo, col.DomainHi)
+		}
+		return nil
+	}
+	if len(sp.Set) == 0 {
+		return fmt.Errorf("empty spec")
+	}
+	for k, iv := range sp.Set {
+		if iv.Empty() {
+			return fmt.Errorf("cycling set %v: empty interval %v", sp.Set, iv)
+		}
+		if k > 0 && iv.Lo <= sp.Set[k-1].Hi {
+			return fmt.Errorf("cycling set %v: intervals not sorted and disjoint", sp.Set)
+		}
+	}
+	if lo, hi := sp.Set[0].Lo, sp.Set[len(sp.Set)-1].Hi; lo < col.DomainLo || hi > col.DomainHi {
+		return fmt.Errorf("cycling set %v outside domain [%d,%d)", sp.Set, col.DomainLo, col.DomainHi)
 	}
 	return nil
 }
@@ -115,12 +179,29 @@ type Database struct {
 // Relation returns the summary for a table, or nil.
 func (d *Database) Relation(name string) *Relation { return d.Relations[name] }
 
-// Validate checks every relation summary against the schema.
+// Validate checks the schema and every relation summary against it, in
+// table-name order so the first error reported is deterministic. A summary
+// that passes is one every execution path answers identically.
 func (d *Database) Validate() error {
-	for name, r := range d.Relations {
+	if d.Schema == nil {
+		return fmt.Errorf("summary: no schema")
+	}
+	if err := d.Schema.Validate(); err != nil {
+		return err
+	}
+	names := make([]string, 0, len(d.Relations))
+	for name := range d.Relations {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		t := d.Schema.Table(name)
 		if t == nil {
 			return fmt.Errorf("summary: relation %s not in schema", name)
+		}
+		r := d.Relations[name]
+		if r == nil {
+			return fmt.Errorf("summary: relation %s is null", name)
 		}
 		if err := r.Validate(t); err != nil {
 			return err
