@@ -20,6 +20,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/generator"
+	"repro/internal/parallel"
 	"repro/internal/sqlkit"
 )
 
@@ -349,9 +350,10 @@ func BenchmarkParallelQuery(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			defer parallel.AtLeastProcs(workers)()
 			opts := engine.ExecOptions{Parallelism: workers}
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.ExecuteParallel(db, plan, opts); err != nil {
+				if _, err := engine.Execute(db, plan, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

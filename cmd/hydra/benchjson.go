@@ -18,6 +18,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/generator"
 	"repro/internal/loadtest"
+	"repro/internal/parallel"
 	"repro/internal/serve"
 	"repro/internal/sqlkit"
 	"repro/internal/summary"
@@ -351,18 +352,20 @@ func runJSONBench(w io.Writer, cfg experiments.Config) error {
 	rows = append(rows, prunedSteadyRow)
 
 	// Morsel-driven parallel execution at 1/2/4/8 workers of the same
-	// query (ExecuteParallel honors the worker count verbatim, so the
+	// query (each row raises GOMAXPROCS to its worker count, so the
 	// scaling series is meaningful on any host; speedup saturates at the
 	// host's core count).
 	for _, workers := range []int{1, 2, 4, 8} {
 		opts := engine.ExecOptions{Parallelism: workers, NoSummaryAgg: true}
+		restore := parallel.AtLeastProcs(workers)
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.ExecuteParallel(regen, plan, opts); err != nil {
+				if _, err := engine.Execute(regen, plan, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		restore()
 		rows = append(rows, row(fmt.Sprintf("parallel_query_w%d", workers), r, float64(scanRows)))
 	}
 
@@ -390,13 +393,15 @@ func runJSONBench(w io.Writer, cfg experiments.Config) error {
 	rows = append(rows, row("groupby_fresh", groupFresh, float64(grows)))
 	for _, workers := range []int{2, 4} {
 		opts := engine.ExecOptions{Parallelism: workers, NoSummaryAgg: true}
+		restore := parallel.AtLeastProcs(workers)
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.ExecuteParallel(regen, gplan, opts); err != nil {
+				if _, err := engine.Execute(regen, gplan, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		restore()
 		rows = append(rows, row(fmt.Sprintf("groupby_parallel_w%d", workers), r, float64(grows)))
 	}
 	gprep, err := engine.Prepare(regen, gplan, regenOpts)

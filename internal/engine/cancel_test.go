@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/parallel"
 )
 
 // slowGen is a deterministic, partitionable datagen source for the fact
@@ -103,6 +104,7 @@ type execFront struct {
 
 func contextFronts(t *testing.T) []execFront {
 	t.Helper()
+	t.Cleanup(parallel.AtLeastProcs(8))
 	fronts := []execFront{
 		{"ExecuteContext", ExecuteContext},
 		{"ExecuteRowsContext", ExecuteRowsContext},
@@ -110,10 +112,10 @@ func contextFronts(t *testing.T) []execFront {
 	for _, w := range []int{1, 2, 4, 8} {
 		w := w
 		fronts = append(fronts, execFront{
-			fmt.Sprintf("ExecuteParallelContext_w%d", w),
+			fmt.Sprintf("ExecuteContext_w%d", w),
 			func(ctx context.Context, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
 				opts.Parallelism = w
-				return ExecuteParallelContext(ctx, db, plan, opts)
+				return ExecuteContext(ctx, db, plan, opts)
 			},
 		})
 	}

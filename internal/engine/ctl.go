@@ -5,28 +5,30 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/trace"
 )
 
-// Cooperative cancellation. Every execution front — Execute, ExecuteRows,
-// ExecuteParallel, Prepared.Execute, Prepared.ExecuteIn — now has a
-// context-taking variant, and the ctx-free signatures are thin wrappers
-// over context.Background(). Cancellation is cooperative at batch
-// boundaries: the engine never preempts a kernel mid-batch (a batch is at
-// most a few thousand rows, microseconds of work), it checks between
-// batches and unwinds.
+// Cooperative cancellation. Every execution front has a context-taking
+// variant, and the ctx-free signatures are thin wrappers over
+// context.Background(). Behind the fronts there are two drivers: the
+// engine's one production driver, Prepared.execute (prepared.go), which
+// Execute, Prepared.Execute and Prepared.ExecuteIn all run — sequentially
+// or on parallel workers — and ExecuteRows, the row-pivot reference
+// oracle. Cancellation is cooperative at batch boundaries: the engine never
+// preempts a kernel mid-batch (a batch is at most a few thousand rows,
+// microseconds of work), it checks between batches and unwinds.
 //
 // The checks live in exactly three places, chosen so every unbounded loop
 // in the engine passes through at least one of them:
 //
 //   - colScanIter.Next — the leaf every operator ultimately pulls from.
 //     One check per physical batch covers the filter's skip loop, the
-//     sink and COUNT(*) drain loops, hash-join build drains, and the join
-//     probe's pull loop, because all of them advance only by pulling scan
-//     batches.
+//     sink drain loops, hash-join build drains, and the join probe's pull
+//     loop, because all of them advance only by pulling scan batches.
 //   - the root drive loop (runColumnar and the ExecuteRows pivot) — covers
 //     the emit phase of blocking sinks, whose output streaming pulls no
-//     scan batches.
+//     scan batches, including the emission of merged parallel partials.
 //   - the parallel worker's morsel loop — each worker carries its own
 //     execCtl (latching is single-goroutine state), re-checked per morsel
 //     and, through the worker's scan leaf, per batch.
@@ -53,6 +55,22 @@ type execCtl struct {
 	// that never computed one) misses every lookup, so operators need no
 	// separate gate.
 	prunes pruneCache
+	// morsel marks a parallel worker's control: the worker's one scan leaf
+	// opens without a source and is pointed at one morsel Section of the
+	// real tree's leaf source at a time — a source already restricted to
+	// its qualifying row-space when the real leaf was pruned — so the
+	// table's DatagenFunc runs once per scan, not once per worker.
+	morsel bool
+}
+
+// openScan opens the source a scan of table reads: the table's own source,
+// or none on a parallel worker, which points its scan leaf at each morsel
+// before driving it.
+func (c *execCtl) openScan(db *Database, table string) (batch.ColProjector, error) {
+	if c.morsel {
+		return nil, nil
+	}
+	return db.openScan(table)
 }
 
 // bind points the control at the next execution's context, clearing any

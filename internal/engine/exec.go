@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/trace"
 )
 
@@ -78,10 +77,11 @@ type ExecOptions struct {
 	// exercising batch boundaries.
 	BatchSize int
 	// Parallelism selects morsel-driven parallel execution: 0 (the
-	// default) runs the sequential batched executor, n >= 1 runs the
-	// scan→filter→probe pipeline on n workers (see exec_parallel.go).
-	// Execute clamps it into [0, GOMAXPROCS]; ExecuteParallel honors it
-	// verbatim so tests can oversubscribe.
+	// default) drives the operator tree sequentially, n >= 1 runs its
+	// scan→filter→probe spine on n workers (see exec_parallel.go).
+	// Normalize clamps it into [0, GOMAXPROCS] on every front, so a
+	// request cannot ask for more workers than the process runs threads;
+	// ExecuteIn ignores it.
 	Parallelism int
 	// Timeout bounds the execution's wall clock when positive: the
 	// context-taking entry points derive a deadline from it (stacked on
@@ -167,27 +167,21 @@ func Execute(db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
 // opts.Timeout, stacked onto any deadline ctx already carries) is observed
 // cooperatively at batch boundaries, and a stopped query returns
 // context.Canceled or context.DeadlineExceeded — identically on the
-// sequential and parallel paths, with no goroutine left behind.
+// sequential and parallel paths, with no goroutine left behind. It runs the
+// engine's one driver over the plan unprepared: build sides drain live,
+// materializing only the columns the query needs, under ctx.
 func ExecuteContext(ctx context.Context, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := withTimeout(ctx, opts.Timeout)
-	defer cancel()
-	if opts.Parallelism >= 1 {
-		return executeParallelFrom(ctx, db, plan, opts, nil, nil)
-	}
-	return executeColumnarFrom(ctx, db, plan, opts, nil, nil, nil)
+	return (&Prepared{db: db, plan: plan}).execute(ctx, new(ExecState), opts)
 }
 
 // ExecuteRows runs a plan and surfaces its output one row at a time: a thin
 // row-pivot adapter over the columnar operator pipeline. There is no second
-// operator set behind it — the pivot drives the very same iterators Execute
-// drives and transposes each live batch row out — so it is kept as the
-// executable reference front the batch-driven paths are pinned against: any
-// divergence between Execute, ExecuteParallel, or Prepared.ExecuteIn and
-// this path is a bug in batch driving, not in operator semantics.
+// operator set behind it — the pivot opens the very same ExecState the
+// engine's driver runs and transposes each live batch row out — so it is
+// kept as the executable reference oracle the driver is pinned against:
+// any divergence between Execute (sequential or parallel), Prepared.Execute
+// or Prepared.ExecuteIn and this path is a bug in batch driving, not in
+// operator semantics.
 func ExecuteRows(db *Database, plan *Plan, opts ExecOptions) (*ExecResult, error) {
 	return ExecuteRowsContext(context.Background(), db, plan, opts)
 }
@@ -200,23 +194,18 @@ func ExecuteRowsContext(ctx context.Context, db *Database, plan *Plan, opts Exec
 	}
 	ctx, cancel := withTimeout(ctx, opts.Timeout)
 	defer cancel()
-	ctl := &execCtl{ctx: ctx}
-	if opts.Trace {
-		ctl.rec = trace.NewRecorder(countPlanNodes(plan.Root))
-	}
-	if res, ok, err := trySummaryAgg(ctl, db, plan, opts); ok {
-		return res, err
-	}
-	ctl.prunes = prunesFor(db, plan, opts, nil)
-	it, width, pop, node, err := openCol(db, plan.Root, rowNeed(plan), opts.BatchSize, nil, nil, ctl)
-	if err != nil {
+	st := new(ExecState)
+	st.ctl.bind(ctx)
+	if err := st.open(&Prepared{db: db, plan: plan}, opts, rowNeed(plan)); err != nil {
 		return nil, err
 	}
-	res := &ExecResult{Root: node, Trace: node.sp}
-	b := batch.NewCol(width, opts.BatchSize, pop)
-	row := make([]int64, width)
+	if st.sagg != nil {
+		return st.runSummary(opts)
+	}
+	res, b, ctl := &st.res, st.b, &st.ctl
+	row := make([]int64, b.Width())
 	agg := plan.countStar()
-	for !ctl.stopped() && it.Next(b) {
+	for !ctl.stopped() && st.it.Next(b) {
 		live := b.Live()
 		for i := 0; i < live; i++ {
 			b.LiveRow(i, row)
@@ -229,11 +218,11 @@ func ExecuteRowsContext(ctx context.Context, db *Database, plan *Plan, opts Exec
 			}
 		}
 	}
-	node.OutRows = res.Rows
+	res.Root.OutRows = res.Rows
 	if ctl.err != nil {
 		return nil, ctl.err
 	}
-	if err := it.deferredErr(); err != nil {
+	if err := st.it.deferredErr(); err != nil {
 		return nil, err
 	}
 	return res, nil

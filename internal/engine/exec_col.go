@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -19,14 +18,14 @@ import (
 // stored-relation cursor, or a caller's row source behind batch.FromRows),
 // filters flip a selection vector instead of compacting row data, and hash
 // joins read nothing but the key column until output materialization.
-// Blocking root operators (GROUP BY, DISTINCT, ORDER BY) are the sink
-// framework in sink.go. Every execution front composes these same
-// operators: Execute drives them batch-wise, ExecuteRows (exec.go) is a thin
-// row-pivot adapter over the identical pipeline, ExecuteParallel
-// (exec_parallel.go) replicates the probe spine per worker over shared
-// build arenas and folds sink partial states, and Prepared/ExecuteIn
-// recycles the opened tree. The parity suites hold all of them to
-// byte-identical results.
+// Blocking root operators (GROUP BY, DISTINCT, ORDER BY, COUNT(*)) are
+// the sink framework in sink.go. openCol is the one function that opens
+// these operators into a tree, for every front: the engine's one driver
+// (Prepared.execute in prepared.go) opens its tree here and drives it
+// sequentially or — each parallel worker opening its own probe spine here
+// too (exec_parallel.go) — morsel-parallel, and ExecuteRows (exec.go), the
+// reference oracle, pivots the same tree's batches into rows. The parity
+// suites hold all of them to byte-identical results.
 
 // colIterator is the engine-internal columnar operator contract — the one
 // operator set every execution front composes. Next resets dst, fills it
@@ -52,18 +51,6 @@ type rowSeeker interface {
 	SeekRow(int64)
 }
 
-// scanOverride hands an already-opened scan source to openCol, so a caller
-// that had to open a table's source to inspect it (the parallel executor
-// probing partitionability) does not invoke the table's DatagenFunc a
-// second time on fallback — the func's contract is one invocation per scan.
-// Self-joins are rejected at planning, so the table name identifies the
-// scan uniquely; used guards against regressions.
-type scanOverride struct {
-	table string
-	src   batch.ColProjector
-	used  bool
-}
-
 // buildCache maps hash-join plan nodes to build state prepared ahead of
 // execution (Prepare): the shared read-only columnar arena plus the
 // build-side ExecNode subtree with its counts frozen at build time. An
@@ -86,42 +73,6 @@ func cloneExecNode(n *ExecNode) *ExecNode {
 		}
 	}
 	return &out
-}
-
-// executeColumnarFrom is the sequential columnar executor behind
-// ExecuteContext, with an optional pre-opened scan and prepared join
-// builds. ctx is observed at batch boundaries (see ctl.go); a canceled
-// execution returns the context's error.
-func executeColumnarFrom(ctx context.Context, db *Database, plan *Plan, opts ExecOptions, ov *scanOverride, builds buildCache, prunes pruneCache) (*ExecResult, error) {
-	ctl := &execCtl{ctx: ctx}
-	if opts.Trace {
-		ctl.rec = trace.NewRecorder(countPlanNodes(plan.Root))
-	}
-	// The summary-direct fast path claims eligible aggregate plans before
-	// any operator opens — unless a pre-opened scan was handed down (the
-	// parallel executor's fallback), whose one-invocation contract obliges
-	// us to drive it.
-	if ov == nil {
-		if res, ok, err := trySummaryAgg(ctl, db, plan, opts); ok {
-			return res, err
-		}
-	}
-	ctl.prunes = prunesFor(db, plan, opts, prunes)
-	need := rootNeed(plan, opts)
-	it, width, pop, node, err := openCol(db, plan.Root, need, opts.BatchSize, ov, builds, ctl)
-	if err != nil {
-		return nil, err
-	}
-	res := &ExecResult{Root: node, Trace: node.sp}
-	b := batch.NewCol(width, opts.BatchSize, pop)
-	derr := runColumnar(ctl, it, b, plan, opts, res)
-	if ctl.err != nil {
-		return nil, ctl.err
-	}
-	if derr != nil {
-		return nil, derr
-	}
-	return res, nil
 }
 
 // rootNeed is the column set the plan's root output must materialize: the
@@ -194,41 +145,36 @@ func runColumnar(ctl *execCtl, it colIterator, b *batch.ColBatch, plan *Plan, op
 // execution's cancellation control, threaded into every scan leaf (the
 // engine's per-batch check point); a build drain interrupted by
 // cancellation surfaces the context error here, as an open failure.
-func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverride, builds buildCache, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
+func openCol(db *Database, pn *PlanNode, need []int, capRows int, builds buildCache, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
 	switch pn.Op {
 	case OpScan:
-		src, err := ov.open(db, pn.Table)
+		src, err := ctl.openScan(db, pn.Table)
 		if err != nil {
 			return nil, 0, nil, nil, err
 		}
-		node := &ExecNode{Op: pn.Op.String(), Table: pn.Table}
-		width := len(db.Schema.Table(pn.Table).Columns)
-		s := &colScanIter{table: pn.Table, src: src, cols: need, node: node, ctl: ctl}
-		s.sp, s.rowBytes = ctl.annotate(node), 8*int64(len(need))
-		return s, width, need, node, nil
+		s := newColScan(pn.Table, src, need, &ExecNode{Op: pn.Op.String(), Table: pn.Table}, ctl)
+		return s, len(db.Schema.Table(pn.Table).Columns), need, s.node, nil
 
 	case OpFilter:
 		// A precomputed qualifying row-space turns filter-over-scan into a
 		// pruned scan: non-matching tuples are never generated, and when
 		// every conjunct was proven the filter operator disappears.
 		if pr := ctl.prunes[pn]; pr != nil {
-			return openPrunedFilter(db, pn, pr, need, capRows, ov, builds, ctl)
+			return openPrunedFilter(db, pn, pr, need, ctl)
 		}
 		// The filter refines the child's selection in place, so its output
 		// batches are the child's: populated set passes through.
-		childNeed := pn.childNeeds(need)[0]
-		child, width, pop, childNode, err := openCol(db, pn.Children[0], childNeed, capRows, ov, builds, ctl)
+		child, width, pop, childNode, err := openCol(db, pn.Children[0], pn.childNeeds(need)[0], capRows, builds, ctl)
 		if err != nil {
 			return nil, 0, nil, nil, err
 		}
-		table := db.Schema.Table(pn.Pred.Table)
-		node := &ExecNode{Op: pn.Op.String(), Table: pn.Pred.Table, PredSQL: pn.Pred.SQL(table), Children: []*ExecNode{childNode}}
-		return &colFilterIter{child: child, m: pn.Pred.Matcher(), node: node, sp: ctl.annotate(node)}, width, pop, node, nil
+		f := newColFilter(db, pn, child, childNode, ctl)
+		return f, width, pop, f.node, nil
 
 	case OpHashJoin:
 		cn := pn.childNeeds(need)
 		probeNeed, buildNeed := cn[0], cn[1]
-		probe, pw, probePop, probeNode, err := openCol(db, pn.Children[0], probeNeed, capRows, ov, builds, ctl)
+		probe, pw, probePop, probeNode, err := openCol(db, pn.Children[0], probeNeed, capRows, builds, ctl)
 		if err != nil {
 			return nil, 0, nil, nil, err
 		}
@@ -244,7 +190,7 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverri
 		} else {
 			var buildIt colIterator
 			var buildPop []int
-			buildIt, bw, buildPop, buildNode, err = openCol(db, pn.Children[1], buildNeed, capRows, ov, builds, ctl)
+			buildIt, bw, buildPop, buildNode, err = openCol(db, pn.Children[1], buildNeed, capRows, builds, ctl)
 			if err != nil {
 				return nil, 0, nil, nil, err
 			}
@@ -270,64 +216,46 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverri
 		}
 		return ji, pw + bw, need, node, nil
 
-	case OpAggregate:
-		child, width, pop, childNode, err := openCol(db, pn.Children[0], nil, capRows, ov, builds, ctl)
+	case OpAggregate, OpGroupAgg, OpDistinct, OpSort:
+		// The blocking operators are the one sink operator over different
+		// states. COUNT(*)'s child materializes no columns at all (pure
+		// cardinality flow); a grouped aggregate's or DISTINCT's exactly its
+		// keys and aggregate inputs (childNeeds ignores the parent's need);
+		// a sort's the output columns plus its keys — which is also the
+		// state's collected set, the comparator's tiebreak domain. The
+		// node's own output batches populate only the columns the caller
+		// asked for.
+		childNeed := pn.childNeeds(need)[0]
+		child, width, pop, childNode, err := openCol(db, pn.Children[0], childNeed, capRows, builds, ctl)
 		if err != nil {
 			return nil, 0, nil, nil, err
 		}
-		node := &ExecNode{Op: pn.Op.String(), Children: []*ExecNode{childNode}}
-		c := &colCountStarIter{child: child, buf: batch.NewCol(width, capRows, pop), node: node, sp: ctl.annotate(node)}
-		return c, 1, []int{0}, node, nil
-
-	case OpGroupAgg, OpDistinct:
-		// The child materializes exactly the grouping (or distinct) keys and
-		// aggregate inputs (childNeeds ignores the parent's need); the
-		// node's own output batches populate only the columns the caller
-		// asked for — nothing when just the group count flows, every select
-		// item when rows are sampled. Both operators are the one sink
-		// operator over the one hash-aggregation state.
-		childNeed := pn.childNeeds(nil)[0]
-		child, width, pop, childNode, err := openCol(db, pn.Children[0], childNeed, capRows, ov, builds, ctl)
-		if err != nil {
-			return nil, 0, nil, nil, err
+		var st sinkState
+		outWidth := width
+		switch pn.Op {
+		case OpAggregate:
+			st, outWidth = &countState{}, 1
+		case OpGroupAgg, OpDistinct:
+			st, outWidth = newGroupAggState(pn), len(pn.Items)
+		default:
+			st = newSortState(pn, childNeed, width)
 		}
 		node := &ExecNode{Op: pn.Op.String(), Children: []*ExecNode{childNode}}
 		g := &colSinkIter{
 			child:   child,
 			buf:     batch.NewCol(width, capRows, pop),
-			st:      newGroupAggState(pn),
+			st:      st,
 			outCols: need,
 			node:    node,
 			ctl:     ctl,
 		}
 		g.sp, g.rowBytes = ctl.annotate(node), 8*int64(len(need))
-		return g, len(pn.Items), need, node, nil
-
-	case OpSort:
-		// The child materializes the output columns plus the sort keys; the
-		// state collects exactly that set, which is also the comparator's
-		// tiebreak domain (identical across all execution fronts).
-		childNeed := pn.childNeeds(need)[0]
-		child, width, pop, childNode, err := openCol(db, pn.Children[0], childNeed, capRows, ov, builds, ctl)
-		if err != nil {
-			return nil, 0, nil, nil, err
-		}
-		node := &ExecNode{Op: pn.Op.String(), Children: []*ExecNode{childNode}}
-		s := &colSinkIter{
-			child:   child,
-			buf:     batch.NewCol(width, capRows, pop),
-			st:      newSortState(pn, childNeed, width),
-			outCols: need,
-			node:    node,
-			ctl:     ctl,
-		}
-		s.sp, s.rowBytes = ctl.annotate(node), 8*int64(len(need))
-		return s, width, need, node, nil
+		return g, outWidth, need, node, nil
 
 	case OpLimit:
 		// Pure truncation over the child's batches: output layout and
 		// populated set pass through untouched.
-		child, width, pop, childNode, err := openCol(db, pn.Children[0], pn.childNeeds(need)[0], capRows, ov, builds, ctl)
+		child, width, pop, childNode, err := openCol(db, pn.Children[0], pn.childNeeds(need)[0], capRows, builds, ctl)
 		if err != nil {
 			return nil, 0, nil, nil, err
 		}
@@ -347,52 +275,68 @@ func openCol(db *Database, pn *PlanNode, need []int, capRows int, ov *scanOverri
 // MatchVec would have read); otherwise the residual filter wraps the pruned
 // scan — exact because pruning only removed provably-failing tuples and
 // never reordered survivors. A source without the row-space capability (a
-// paced stream, caller-supplied datagen) is handed down to the ordinary
-// path unopened-again, honoring the one-invocation-per-scan contract.
-func openPrunedFilter(db *Database, pn *PlanNode, pr *scanPrune, need []int, capRows int, ov *scanOverride, builds buildCache, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
+// paced stream, caller-supplied datagen) is scanned in full under the
+// ordinary filter. A parallel worker's scan leaf is pointed at morsels of
+// the real leaf's source, which is already the qualifying row-space.
+func openPrunedFilter(db *Database, pn *PlanNode, pr *scanPrune, need []int, ctl *execCtl) (colIterator, int, []int, *ExecNode, error) {
 	scanPn := pn.Children[0]
-	src, err := ov.open(db, scanPn.Table)
+	src, err := ctl.openScan(db, scanPn.Table)
 	if err != nil {
 		return nil, 0, nil, nil, err
 	}
-	rs, ok := src.(rowSpaceSource)
-	if !ok {
-		local := &scanOverride{table: scanPn.Table, src: src}
-		childNeed := pn.childNeeds(need)[0]
-		child, width, pop, childNode, err := openCol(db, scanPn, childNeed, capRows, local, builds, ctl)
-		if err != nil {
-			return nil, 0, nil, nil, err
-		}
-		table := db.Schema.Table(pn.Pred.Table)
-		node := &ExecNode{Op: pn.Op.String(), Table: pn.Pred.Table, PredSQL: pn.Pred.SQL(table), Children: []*ExecNode{childNode}}
-		return &colFilterIter{child: child, m: pn.Pred.Matcher(), node: node, sp: ctl.annotate(node)}, width, pop, node, nil
-	}
-	sub := rs.SectionSet(pr.ivs)
 	width := len(db.Schema.Table(scanPn.Table).Columns)
+	if !ctl.morsel {
+		rs, ok := src.(rowSpaceSource)
+		if !ok {
+			scanCols := pn.childNeeds(need)[0]
+			s := newColScan(scanPn.Table, src, scanCols, &ExecNode{Op: OpScan.String(), Table: scanPn.Table}, ctl)
+			f := newColFilter(db, pn, s, s.node, ctl)
+			return f, width, scanCols, f.node, nil
+		}
+		src = rs.SectionSet(pr.ivs)
+	}
 	scanCols := need
 	if !pr.absorbed {
 		scanCols = pn.childNeeds(need)[0]
 	}
-	scanNode := &ExecNode{Op: OpScan.String(), Table: scanPn.Table, RowsPruned: pr.pruned, SummaryRowsSkipped: pr.skipped}
-	s := &colScanIter{table: scanPn.Table, src: sub, cols: scanCols, node: scanNode, ctl: ctl}
-	s.sp, s.rowBytes = ctl.annotate(scanNode), 8*int64(len(scanCols))
+	s := newColScan(scanPn.Table, src, scanCols, &ExecNode{Op: OpScan.String(), Table: scanPn.Table, RowsPruned: pr.pruned, SummaryRowsSkipped: pr.skipped}, ctl)
+	s.pruned = true
 	if pr.absorbed {
-		return s, width, scanCols, scanNode, nil
+		return s, width, scanCols, s.node, nil
 	}
-	table := db.Schema.Table(pn.Pred.Table)
-	node := &ExecNode{Op: pn.Op.String(), Table: pn.Pred.Table, PredSQL: pn.Pred.SQL(table), Children: []*ExecNode{scanNode}}
-	return &colFilterIter{child: s, m: pn.Pred.Matcher(), node: node, sp: ctl.annotate(node)}, width, scanCols, node, nil
+	f := newColFilter(db, pn, s, s.node, ctl)
+	return f, width, scanCols, f.node, nil
 }
 
-// open returns the scan source for table: the override's pre-opened source
-// the first time the override's table is asked for, a freshly opened one
-// otherwise (including when ov is nil).
-func (ov *scanOverride) open(db *Database, table string) (batch.ColProjector, error) {
-	if ov != nil && !ov.used && ov.table == table {
-		ov.used = true
-		return ov.src, nil
+// newColScan opens a scan leaf over src, projecting cols, mirrored by node.
+func newColScan(table string, src batch.ColProjector, cols []int, node *ExecNode, ctl *execCtl) *colScanIter {
+	s := &colScanIter{table: table, src: src, cols: cols, node: node, ctl: ctl}
+	s.sp, s.rowBytes = ctl.annotate(node), 8*int64(len(cols))
+	return s
+}
+
+// newColFilter opens the filter operator pn over an opened child.
+func newColFilter(db *Database, pn *PlanNode, child colIterator, childNode *ExecNode, ctl *execCtl) *colFilterIter {
+	table := db.Schema.Table(pn.Pred.Table)
+	node := &ExecNode{Op: pn.Op.String(), Table: pn.Pred.Table, PredSQL: pn.Pred.SQL(table), Children: []*ExecNode{childNode}}
+	return &colFilterIter{child: child, m: pn.Pred.Matcher(), node: node, sp: ctl.annotate(node)}
+}
+
+// probeChild returns the operator it pulls its input from — the probe side
+// of a join — or nil at a scan leaf. The parallel driver walks opened trees
+// with it, down the probe spine the morsels partition.
+func probeChild(it colIterator) colIterator {
+	switch t := it.(type) {
+	case *colFilterIter:
+		return t.child
+	case *colHashJoinIter:
+		return t.probe
+	case *colSinkIter:
+		return t.child
+	case *colLimitIter:
+		return t.child
 	}
-	return db.openScan(table)
+	return nil
 }
 
 // colScanIter passes projected source batches through, counting them. It
@@ -408,6 +352,7 @@ type colScanIter struct {
 	ctl      *execCtl
 	sp       *trace.Span // nil when untraced
 	rowBytes int64       // bytes materialized per output row (populated cols × 8)
+	pruned   bool        // src is a qualifying row-space (openPrunedFilter)
 }
 
 func (s *colScanIter) Next(dst *batch.ColBatch) bool {
@@ -624,15 +569,16 @@ func (h *colHashJoinIter) Next(dst *batch.ColBatch) bool {
 func (h *colHashJoinIter) next(dst *batch.ColBatch) bool {
 	dst.Reset()
 	capRows := dst.Cap()
+	// The probe cursor lives in locals while the batch fills and is stored
+	// back once: parallel workers' join iterators can sit on one cache
+	// line, and per-row stores would bounce it between their cores.
+	pi, curRow, matches, mi := h.pi, h.curRow, h.matches, h.mi
 	j := 0
 	for j < capRows {
-		if h.mi < len(h.matches) {
-			k := len(h.matches) - h.mi
-			if k > capRows-j {
-				k = capRows - j
-			}
+		if mi < len(matches) {
+			k := min(len(matches)-mi, capRows-j)
 			for _, c := range h.probeOut {
-				v := h.pbatch.Col(c)[h.curRow]
+				v := h.pbatch.Col(c)[curRow]
 				out := dst.Col(c)[j : j+k]
 				for i := range out {
 					out[i] = v
@@ -641,82 +587,36 @@ func (h *colHashJoinIter) next(dst *batch.ColBatch) bool {
 			for _, bc := range h.buildOut {
 				src := h.build.arena[bc]
 				out := dst.Col(h.probeCols + bc)[j : j+k]
-				for i := 0; i < k; i++ {
-					out[i] = src[h.matches[h.mi+i]]
+				for i, m := range matches[mi : mi+k] {
+					out[i] = src[m]
 				}
 			}
-			h.mi += k
+			mi += k
 			j += k
 			continue
 		}
 		if h.done {
 			break
 		}
-		if h.pi >= h.pbatch.Live() {
+		if pi >= h.pbatch.Live() {
 			if !h.probe.Next(h.pbatch) {
 				h.done = true
 				break
 			}
-			h.pi = 0
+			pi = 0
 			continue
 		}
 		if sel := h.pbatch.Sel(); sel != nil {
-			h.curRow = int(sel[h.pi])
+			curRow = int(sel[pi])
 		} else {
-			h.curRow = h.pi
+			curRow = pi
 		}
-		h.pi++
-		h.matches = h.build.idx[h.pbatch.Col(h.leftKey)[h.curRow]]
-		h.mi = 0
+		pi++
+		matches = h.build.idx[h.pbatch.Col(h.leftKey)[curRow]]
+		mi = 0
 	}
+	h.pi, h.curRow, h.matches, h.mi = pi, curRow, matches, mi
 	dst.SetLen(j)
 	h.node.OutRows += int64(j)
 	return j > 0
 }
-
-// colCountStarIter drains its child, emitting the single COUNT(*) row. Its
-// drain batch materializes no columns at all: pure cardinality flow.
-type colCountStarIter struct {
-	child colIterator
-	buf   *batch.ColBatch
-	node  *ExecNode
-	sp    *trace.Span // nil when untraced
-	done  bool
-}
-
-func (c *colCountStarIter) Next(dst *batch.ColBatch) bool {
-	if c.sp == nil {
-		return c.next(dst)
-	}
-	c.sp.Begin()
-	if !c.next(dst) {
-		c.sp.ObserveEmpty()
-		return false
-	}
-	c.sp.Observe(1, 8)
-	return true
-}
-
-func (c *colCountStarIter) next(dst *batch.ColBatch) bool {
-	dst.Reset()
-	if c.done {
-		return false
-	}
-	c.done = true
-	var n int64
-	for c.child.Next(c.buf) {
-		n += int64(c.buf.Live())
-	}
-	dst.SetLen(1)
-	dst.Col(0)[0] = n
-	c.node.OutRows++
-	return true
-}
-
-func (c *colCountStarIter) rewind(db *Database) error {
-	c.done = false
-	c.node.OutRows = 0
-	return c.child.rewind(db)
-}
-
-func (c *colCountStarIter) deferredErr() error { return c.child.deferredErr() }

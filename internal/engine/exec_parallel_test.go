@@ -1,13 +1,13 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/sqlkit"
 )
 
@@ -106,19 +106,20 @@ var parallelQueries = []string{
 // executor, across worker counts (including oversubscription) and batch
 // sizes that force many small morsels.
 func TestExecuteParallelStoredParity(t *testing.T) {
+	defer parallel.AtLeastProcs(8)()
 	db := bigStarDatabase(t, 5000)
 	for _, sql := range parallelQueries {
 		plan := mustPlan(t, db, sql)
 		for _, size := range []int{0, 3, 64} {
 			seqOpts := ExecOptions{SampleLimit: 7, BatchSize: size}
-			want, err := executeColumnarFrom(context.Background(), db, plan, seqOpts, nil, nil, nil)
+			want, err := Execute(db, plan, seqOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{1, 2, 4, 8} {
 				opts := seqOpts
 				opts.Parallelism = w
-				got, err := ExecuteParallel(db, plan, opts)
+				got, err := Execute(db, plan, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -133,6 +134,7 @@ func TestExecuteParallelStoredParity(t *testing.T) {
 // path with identical results — and without invoking the DatagenFunc a
 // second time (its contract is one invocation per scan).
 func TestExecuteParallelFallback(t *testing.T) {
+	defer parallel.AtLeastProcs(4)()
 	db := bigStarDatabase(t, 200)
 	rows := db.Relation("fact").Rows
 	var opened int
@@ -143,18 +145,18 @@ func TestExecuteParallelFallback(t *testing.T) {
 	for _, sql := range []string{
 		"SELECT COUNT(*) FROM fact WHERE q >= 3",
 		"SELECT * FROM fact",
-		// Sink plans fall back the same way: the pre-opened scan is handed
-		// to the sequential executor underneath the sink stack.
+		// Sink plans fall back the same way: the already-open tree, sink
+		// stack included, runs sequentially.
 		"SELECT * FROM fact ORDER BY q DESC LIMIT 3",
 		"SELECT DISTINCT q FROM fact",
 	} {
 		plan := mustPlan(t, db, sql)
-		want, err := executeColumnarFrom(context.Background(), db, plan, ExecOptions{SampleLimit: 5}, nil, nil, nil)
+		want, err := Execute(db, plan, ExecOptions{SampleLimit: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		opened = 0
-		got, err := ExecuteParallel(db, plan, ExecOptions{SampleLimit: 5, Parallelism: 4})
+		got, err := Execute(db, plan, ExecOptions{SampleLimit: 5, Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +192,6 @@ func TestExecOptionsValidation(t *testing.T) {
 	}{
 		{"Execute", Execute},
 		{"ExecuteRows", ExecuteRows},
-		{"ExecuteParallel", ExecuteParallel},
 	} {
 		_, err := exec.f(db, plan, ExecOptions{BatchSize: -1})
 		if !errors.Is(err, ErrInvalidOptions) {

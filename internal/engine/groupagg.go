@@ -329,7 +329,8 @@ func sum128Fits(lo, hi int64) bool { return hi == lo>>63 }
 // merge folds other's partial groups into st. Accumulation is by key
 // lookup, so morsel partitioning never changes the answer; calling merge in
 // worker-index order keeps the (overflow-checked) sum order deterministic.
-func (st *groupAggState) merge(other *groupAggState) {
+func (st *groupAggState) merge(o sinkState) {
+	other := o.(*groupAggState)
 	if st.err == nil {
 		st.err = other.err
 	}

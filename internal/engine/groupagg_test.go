@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/schema"
 	"repro/internal/sqlkit"
 )
@@ -93,6 +94,7 @@ func TestGroupAggAvgTruncation(t *testing.T) {
 // TestGroupAggOverflow: SUM (and AVG's sum) must detect int64 overflow and
 // fail the query on every execution path, never wrap.
 func TestGroupAggOverflow(t *testing.T) {
+	defer parallel.AtLeastProcs(2)()
 	db := valueDatabase(t, [][]int64{{0, math.MaxInt64}, {0, 1}})
 	const sql = "SELECT k, SUM(v) FROM vals GROUP BY k"
 	plan := mustPlan(t, db, sql)
@@ -101,7 +103,7 @@ func TestGroupAggOverflow(t *testing.T) {
 		"columnar": func() (*ExecResult, error) { return Execute(db, plan, ExecOptions{}) },
 		"rows":     func() (*ExecResult, error) { return ExecuteRows(db, plan, ExecOptions{}) },
 		"parallel": func() (*ExecResult, error) {
-			return ExecuteParallel(db, plan, ExecOptions{Parallelism: 2})
+			return Execute(db, plan, ExecOptions{Parallelism: 2})
 		},
 	} {
 		if _, err := f(); !errors.Is(err, ErrAggOverflow) {
@@ -137,6 +139,7 @@ func TestGroupAggOverflow(t *testing.T) {
 // detection would fail this sequentially (MaxInt64 + MaxInt64 overflows
 // before the negatives arrive) and divergently under partitioning.
 func TestGroupAggSumExactCancellation(t *testing.T) {
+	defer parallel.AtLeastProcs(8)()
 	db := valueDatabase(t, [][]int64{
 		{0, math.MaxInt64}, {0, math.MaxInt64}, {0, -math.MaxInt64}, {0, -math.MaxInt64}, {0, 42},
 	})
@@ -153,7 +156,7 @@ func TestGroupAggSumExactCancellation(t *testing.T) {
 		t.Fatalf("columnar = %v, %v", got, err)
 	}
 	for _, w := range []int{1, 2, 4, 8} {
-		got, err := ExecuteParallel(db, plan, ExecOptions{SampleLimit: 10, Parallelism: w, BatchSize: 1})
+		got, err := Execute(db, plan, ExecOptions{SampleLimit: 10, Parallelism: w, BatchSize: 1})
 		if err != nil || !reflect.DeepEqual(got.Sample, want.Sample) {
 			t.Fatalf("parallel w=%d = %v, %v", w, got, err)
 		}

@@ -17,12 +17,16 @@ import (
 // rebuilds a hash table. Cancellation cannot poison a Prepared: the arenas
 // are immutable after Prepare, and a canceled execution abandons only its
 // private probe state.
+//
+// A Prepared is also the engine's one execution driver (execute): ad-hoc
+// Execute runs it over an unprepared Prepared — no build cache, so build
+// sides drain live, and no prune cache, so row-spaces are computed per
+// execution.
 type Prepared struct {
-	db      *Database
-	plan    *Plan
-	builds  buildCache
-	prunes  pruneCache // qualifying row-spaces, computed once at Prepare time
-	spanCap int        // span-arena capacity a traced execution needs, sized here
+	db     *Database
+	plan   *Plan
+	builds buildCache // nil for ad-hoc execution
+	prunes pruneCache // qualifying row-spaces, computed once at Prepare time
 }
 
 // Plan returns the compiled plan the Prepared executes.
@@ -40,7 +44,7 @@ func Prepare(db *Database, plan *Plan, opts ExecOptions) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{db: db, plan: plan, builds: make(buildCache), spanCap: countPlanNodes(plan.Root)}
+	p := &Prepared{db: db, plan: plan, builds: make(buildCache)}
 	// Prune row-spaces are computed once and shared by every execution (and
 	// by the build drain below, so cached build sides make the same prune
 	// decisions as live ones — span-shape parity depends on it).
@@ -67,7 +71,7 @@ func (p *Prepared) prepareNode(pn *PlanNode, capRows int) error {
 		for i := range all {
 			all[i] = i
 		}
-		buildIt, bw, buildPop, buildNode, err := openCol(p.db, build, all, capRows, nil, p.builds, &execCtl{prunes: p.prunes})
+		buildIt, bw, buildPop, buildNode, err := openCol(p.db, build, all, capRows, p.builds, &execCtl{prunes: p.prunes})
 		if err != nil {
 			return err
 		}
@@ -90,18 +94,10 @@ func (p *Prepared) Execute(opts ExecOptions) (*ExecResult, error) {
 // batch-boundary cancellation contract (see ExecuteContext): the probe
 // pipeline stops at the next batch once ctx is done or opts.Timeout
 // expires, returning the context's error. The shared build arenas are
-// untouched by a canceled execution.
+// untouched by a canceled execution. It runs the engine's one driver on a
+// fresh ExecState.
 func (p *Prepared) ExecuteContext(ctx context.Context, opts ExecOptions) (*ExecResult, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := withTimeout(ctx, opts.Timeout)
-	defer cancel()
-	if opts.Parallelism >= 1 {
-		return executeParallelFrom(ctx, p.db, p.plan, opts, p.builds, p.prunes)
-	}
-	return executeColumnarFrom(ctx, p.db, p.plan, opts, nil, p.builds, p.prunes)
+	return p.execute(ctx, new(ExecState), opts)
 }
 
 // ExecState is caller-owned reusable execution state for ExecuteIn: the
@@ -141,6 +137,17 @@ func (p *Prepared) ExecuteIn(st *ExecState, opts ExecOptions) (*ExecResult, erro
 // same state, and results are unaffected — cancellation cannot poison the
 // prepared state.
 func (p *Prepared) ExecuteInContext(ctx context.Context, st *ExecState, opts ExecOptions) (*ExecResult, error) {
+	opts.Parallelism = 0
+	return p.execute(ctx, st, opts)
+}
+
+// execute is the engine's one production driver; every Execute* front but
+// the ExecuteRows oracle runs it. It opens st for opts — unless st already
+// holds the tree for exactly these options, which it rewinds instead — and
+// then runs it: the summary-direct evaluator when that claimed the plan,
+// otherwise the operator tree, sequentially or, with opts.Parallelism >= 1,
+// morsel-parallel (runParallel).
+func (p *Prepared) execute(ctx context.Context, st *ExecState, opts ExecOptions) (*ExecResult, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err
@@ -151,71 +158,98 @@ func (p *Prepared) ExecuteInContext(ctx context.Context, st *ExecState, opts Exe
 	// the execution-shaping options only (a per-call Timeout change must
 	// not rebuild the operator tree).
 	opts.Timeout = 0
-	opts.Parallelism = 0
 	st.ctl.bind(ctx)
 	if !st.valid || st.opts != opts {
-		// Trace participates in the reuse key: flipping it rebuilds the tree
-		// once, with spans drawn from an arena sized at Prepare time. After
-		// that, traced steady state recycles spans via Reset exactly as the
-		// untraced path recycles batches — zero allocations either way.
-		if opts.Trace {
-			st.ctl.rec = trace.NewRecorder(p.spanCap)
-		} else {
-			st.ctl.rec = nil
+		if err := st.open(p, opts, rootNeed(p.plan, opts)); err != nil {
+			return nil, err
 		}
-		// The summary-direct fast path is judged once per tree build and
-		// then recycled like the operator tree: its span, scratch buffers,
-		// and aggregation state all reset in place, so steady-state
-		// fast-path executions allocate nothing.
-		st.ctl.prunes = prunesFor(p.db, p.plan, opts, p.prunes)
-		st.sagg = summaryAggFor(p.db, p.plan, opts)
-		if st.sagg != nil {
-			st.sagg.open(&st.ctl)
-			st.res = ExecResult{Root: &st.sagg.node, Trace: st.sagg.sp}
-			st.opts = opts
-			st.valid = true
-		} else {
-			need := rootNeed(p.plan, opts)
-			it, width, pop, node, err := openCol(p.db, p.plan.Root, need, opts.BatchSize, nil, p.builds, &st.ctl)
-			if err != nil {
-				return nil, err
-			}
-			st.it = it
-			st.b = batch.NewCol(width, opts.BatchSize, pop)
-			st.res = ExecResult{Root: node, Trace: node.sp}
-			st.opts = opts
-			st.valid = true
-		}
+	} else if err := st.rewind(p.db); err != nil {
+		return nil, err
+	}
+	if st.sagg != nil {
+		return st.runSummary(opts)
+	}
+	if opts.Parallelism >= 1 {
+		// The parallel run hands the tree's sinks merged worker state, so
+		// the tree is spent afterwards: the next execution reopens.
+		st.valid = false
+		err = p.runParallel(ctx, st, opts)
 	} else {
-		if st.ctl.rec != nil {
-			st.ctl.rec.Reset()
+		err = st.drive(p.plan, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &st.res, nil
+}
+
+// open readies st to run p under opts. Trace participates in the reuse key:
+// flipping it rebuilds the tree once, with spans drawn from an arena sized
+// to the plan; after that, traced steady state recycles spans via Reset
+// exactly as the untraced path recycles batches. The summary-direct fast
+// path is judged here, once per open, and then recycled like the operator
+// tree: its span, scratch buffers, and aggregation state all reset in
+// place, so steady-state fast-path executions allocate nothing. Otherwise
+// openCol opens the operator tree, materializing need at the root.
+func (st *ExecState) open(p *Prepared, opts ExecOptions, need []int) error {
+	st.valid = false
+	st.ctl.rec = nil
+	if opts.Trace {
+		st.ctl.rec = trace.NewRecorder(countPlanNodes(p.plan.Root))
+	}
+	st.sagg = summaryAggFor(p.db, p.plan, opts)
+	if st.sagg != nil {
+		st.sagg.open(&st.ctl)
+		st.res = ExecResult{Root: &st.sagg.node, Trace: st.sagg.sp}
+	} else {
+		st.ctl.prunes = prunesFor(p.db, p.plan, opts, p.prunes)
+		it, width, pop, node, err := openCol(p.db, p.plan.Root, need, opts.BatchSize, p.builds, &st.ctl)
+		if err != nil {
+			return err
 		}
-		if st.sagg == nil {
-			if err := st.it.rewind(p.db); err != nil {
-				return nil, err
-			}
-		}
+		st.it = it
+		st.b = batch.NewCol(width, opts.BatchSize, pop)
+		st.res = ExecResult{Root: node, Trace: node.sp}
+	}
+	st.opts = opts
+	st.valid = true
+	return nil
+}
+
+// rewind readies the tree st already holds for another execution.
+func (st *ExecState) rewind(db *Database) error {
+	if st.ctl.rec != nil {
+		st.ctl.rec.Reset()
 	}
 	st.res.Rows, st.res.Count = 0, 0
 	st.res.Sample = nil
 	st.res.Path = ""
 	st.res.Approx = nil
 	if st.sagg != nil {
-		st.res.Path = PathSummary
-		if err := st.sagg.run(&st.ctl, &st.res, opts); err != nil {
-			return nil, err
-		}
-		if st.ctl.err != nil {
-			return nil, st.ctl.err
-		}
-		return &st.res, nil
+		return nil
 	}
-	derr := runColumnar(&st.ctl, st.it, st.b, p.plan, opts, &st.res)
+	return st.it.rewind(db)
+}
+
+// runSummary answers from the summary-direct evaluator st opened.
+func (st *ExecState) runSummary(opts ExecOptions) (*ExecResult, error) {
+	st.res.Path = PathSummary
+	if err := st.sagg.run(&st.ctl, &st.res, opts); err != nil {
+		return nil, err
+	}
 	if st.ctl.err != nil {
 		return nil, st.ctl.err
 	}
-	if derr != nil {
-		return nil, derr
-	}
 	return &st.res, nil
+}
+
+// drive runs st's opened operator tree to exhaustion on the calling
+// goroutine. A context error takes precedence over the pipeline's deferred
+// one.
+func (st *ExecState) drive(plan *Plan, opts ExecOptions) error {
+	derr := runColumnar(&st.ctl, st.it, st.b, plan, opts, &st.res)
+	if st.ctl.err != nil {
+		return st.ctl.err
+	}
+	return derr
 }

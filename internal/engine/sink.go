@@ -7,20 +7,20 @@ import (
 
 // The sink framework: every blocking root operator — grouped aggregation,
 // DISTINCT, ORDER BY, COUNT(*) — is one state object implementing sinkState,
-// executed by the single colSinkIter operator. The same state serves all
-// execution fronts:
+// executed by the single colSinkIter operator that openCol opens for it.
+// The same state serves every way the engine's one driver runs a tree:
 //
-//   - the sequential columnar executor drives observe over child batches and
-//     emit over the finished state (colSinkIter);
-//   - ExecuteRows is a row pivot over the identical pipeline, so the row
-//     path exercises the very same state;
-//   - the morsel-parallel executor holds one state per worker (partial
-//     accumulation via observe), folds partials with merge in worker-index
-//     order, and emits the merged state through stateEmitIter — the
-//     partial-state/merge contract that replaces per-executor operator
-//     reimplementations;
+//   - sequentially, colSinkIter drives observe over child batches and emit
+//     over the finished state; ExecuteRows, the reference oracle, pivots
+//     the very same operator's output into rows;
+//   - morsel-parallel, worker 0 folds its morsels into the real tree's
+//     bottom sink state and every other worker into its own copy of that
+//     sink (partial accumulation via observe); the partials merge into the
+//     real one in worker-index order, and the real colSinkIter then emits
+//     the merged state — the partial-state/merge contract that replaces
+//     per-executor operator reimplementations;
 //   - Prepared.ExecuteIn recycles the state via reset, so grouped, distinct,
-//     and sorted steady-state queries allocate nothing.
+//     sorted and counting steady-state queries allocate nothing.
 //
 // finish freezes the deterministic output order exactly once; emit is then a
 // pure, restartable read. deferredErr surfaces failures that can only be
@@ -37,6 +37,9 @@ type sinkState interface {
 	// emit writes output rows [pos, pos+k) into dst, populating only
 	// outCols, and returns k (0 = exhausted).
 	emit(dst *batch.ColBatch, outCols []int, pos int) int
+	// merge folds another partial state of the same operator into this
+	// one: a parallel worker's, merged in worker-index order before finish.
+	merge(other sinkState)
 	// reset recycles the state for another execution without releasing
 	// storage (the zero-allocation steady-state contract).
 	reset()
@@ -46,15 +49,17 @@ type sinkState interface {
 
 // colSinkIter is the one blocking operator of the columnar pipeline: it
 // drains its child into a sinkState on the first Next, then streams the
-// state's deterministic output. OpGroupAgg, OpDistinct (both groupAggState),
-// and OpSort (sortState) are this operator with different states.
+// state's deterministic output. OpAggregate (countState), OpGroupAgg,
+// OpDistinct (both groupAggState), and OpSort (sortState) are this operator
+// with different states. A parallel run leaves it holding the merged
+// worker partials, already drained and finished (runParallel).
 type colSinkIter struct {
 	child    colIterator
 	buf      *batch.ColBatch // child output drain batch
 	st       sinkState
 	outCols  []int // output columns the caller materializes
 	node     *ExecNode
-	ctl      *execCtl    // nil = uncancellable (parallel merge emission)
+	ctl      *execCtl
 	sp       *trace.Span // nil when untraced
 	rowBytes int64       // bytes materialized per emitted row
 
@@ -87,7 +92,7 @@ func (g *colSinkIter) next(dst *batch.ColBatch) bool {
 		// A drain cut short by cancellation (the child's scan leaf stopped)
 		// must not pay for finish — sorting or ordering a large partial
 		// state would delay the unwind well past a batch boundary.
-		if g.ctl != nil && g.ctl.stopped() {
+		if g.ctl.stopped() {
 			return false
 		}
 		g.st.finish() // freezes order; may park a deferred error
@@ -120,65 +125,14 @@ func (g *colSinkIter) deferredErr() error {
 	return g.child.deferredErr()
 }
 
-// stateEmitIter streams an already-finished sinkState — the parallel
-// executor's merged partials — through the same emit contract colSinkIter
-// uses, so the merge side of ExecuteParallel is the sequential emission
-// code, not a reimplementation. It is single-shot: the merged state is not
-// re-drainable.
-type stateEmitIter struct {
-	st       sinkState
-	outCols  []int
-	node     *ExecNode
-	sp       *trace.Span // nil when untraced
-	rowBytes int64
-	pos      int
-}
-
-func (e *stateEmitIter) Next(dst *batch.ColBatch) bool {
-	if e.sp == nil {
-		return e.next(dst)
-	}
-	e.sp.Begin()
-	if !e.next(dst) {
-		e.sp.ObserveEmpty()
-		return false
-	}
-	e.sp.Observe(int64(dst.Live()), int64(dst.Live())*e.rowBytes)
-	return true
-}
-
-func (e *stateEmitIter) next(dst *batch.ColBatch) bool {
-	dst.Reset()
-	if e.st.deferredErr() != nil {
-		return false
-	}
-	k := e.st.emit(dst, e.outCols, e.pos)
-	if k == 0 {
-		return false
-	}
-	e.pos += k
-	e.node.OutRows += int64(k)
-	return true
-}
-
-func (e *stateEmitIter) rewind(*Database) error {
-	e.pos = 0
-	e.node.OutRows = 0
-	return nil
-}
-
-func (e *stateEmitIter) deferredErr() error { return e.st.deferredErr() }
-
 // countState is COUNT(*) as a sinkState: a row counter emitting the single
-// aggregate row. The sequential executor uses the streaming colCountStarIter
-// (which needs no materialized state at all); countState is how the parallel
-// executor's merged row count re-enters the shared sink emission path when
-// sinks sit above the aggregate.
+// aggregate row. It materializes nothing but the count.
 type countState struct {
 	n int64
 }
 
 func (st *countState) observe(b *batch.ColBatch) { st.n += int64(b.Live()) }
+func (st *countState) merge(other sinkState)     { st.n += other.(*countState).n }
 func (st *countState) finish()                   {}
 func (st *countState) reset()                    { st.n = 0 }
 func (st *countState) deferredErr() error        { return nil }

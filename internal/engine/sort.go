@@ -212,7 +212,8 @@ func (st *sortState) siftDown(i int) {
 // merge appends other's live rows — a worker's partial collection — into
 // st's arenas. Order of merging cannot affect the finished output: finish
 // re-sorts under the total order and re-applies the bound.
-func (st *sortState) merge(other *sortState) {
+func (st *sortState) merge(o sinkState) {
+	other := o.(*sortState)
 	for _, g := range other.order {
 		slot := st.slots
 		for _, c := range st.collect {

@@ -160,22 +160,6 @@ func summaryAggFor(db *Database, plan *Plan, opts ExecOptions) *summaryAggEval {
 	return e
 }
 
-// trySummaryAgg is the dispatch hook the execution fronts call before
-// opening the regenerating operator tree. ok=false means fall back; ok=true
-// means the fast path claimed the query and res/err is the outcome.
-func trySummaryAgg(ctl *execCtl, db *Database, plan *Plan, opts ExecOptions) (*ExecResult, bool, error) {
-	e := summaryAggFor(db, plan, opts)
-	if e == nil {
-		return nil, false, nil
-	}
-	e.open(ctl)
-	res := &ExecResult{Root: &e.node, Trace: e.sp, Path: PathSummary}
-	if err := e.run(ctl, res, opts); err != nil {
-		return nil, true, err
-	}
-	return res, true, nil
-}
-
 func newSummaryAggEval(db *Database, cand *PlanNode, rel *synopsis.Relation) *summaryAggEval {
 	t := db.Schema.Table(cand.Table)
 	if t == nil {

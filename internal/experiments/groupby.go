@@ -58,11 +58,7 @@ func E13GroupBy(w io.Writer, cfg Config, workerCounts []int) error {
 		}
 		for _, workers := range workerCounts {
 			opts := engine.ExecOptions{Parallelism: workers, NoSummaryAgg: true}
-			exec := engine.Execute
-			if workers >= 1 {
-				exec = engine.ExecuteParallel
-			}
-			res, elapsed, err := timeExec(regen, plan, opts, exec)
+			res, elapsed, err := timeExec(regen, plan, opts, engine.Execute)
 			if err != nil {
 				return err
 			}

@@ -65,11 +65,7 @@ func E14TopK(w io.Writer, cfg Config, limits []int) error {
 		}
 		for _, workers := range []int{0, 2} {
 			opts := engine.ExecOptions{SampleLimit: 1 << 20, Parallelism: workers}
-			exec := engine.Execute
-			if workers >= 1 {
-				exec = engine.ExecuteParallel
-			}
-			res, elapsed, err := timeExec(regen, plan, opts, exec)
+			res, elapsed, err := timeExec(regen, plan, opts, engine.Execute)
 			if err != nil {
 				return err
 			}

@@ -180,8 +180,10 @@ func TestQuickExactAgreesWithFloat(t *testing.T) {
 	}
 }
 
-// TestQuickRevisedAgreesWithDense: force the revised path (by constructing
-// a system above the cutover) and check it satisfies all constraints.
+// TestRevisedLargeSystem: force the revised path (by constructing a system
+// above the cutover) and check that its integerized solution leaves only
+// negligible residuals. It does not compare solvers; TestSolversAgreeBelowCutover
+// holds the revised, dense and exact solvers to the same optimum.
 func TestRevisedLargeSystem(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	n := denseCutover + 500

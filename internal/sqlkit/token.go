@@ -49,7 +49,7 @@ func lex(src string) ([]token, error) {
 		start := l.pos
 		c := l.src[l.pos]
 		switch {
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			l.lexIdent()
 		case c >= '0' && c <= '9' || c == '.' && l.peekDigit():
 			if err := l.lexNumber(); err != nil {
@@ -81,12 +81,16 @@ func (l *lexer) skipSpace() {
 	}
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// Identifiers are ASCII: the lexer reads bytes, and a byte of a
+// multi-byte character read as a Latin-1 letter would lower-case into a
+// replacement character the lexer then rejects, so the query's printed SQL
+// would no longer parse.
+func isIdentStart(c byte) bool {
+	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+func isIdentPart(c byte) bool {
+	return isIdentStart(c) || '0' <= c && c <= '9'
 }
 
 func (l *lexer) peekDigit() bool { return l.peekDigitAt(1) }
@@ -97,7 +101,7 @@ func (l *lexer) peekDigitAt(n int) bool {
 
 func (l *lexer) lexIdent() {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 		l.pos++
 	}
 	l.toks = append(l.toks, token{kind: tokIdent, text: strings.ToLower(l.src[start:l.pos]), pos: start})

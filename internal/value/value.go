@@ -186,13 +186,19 @@ func (v Value) String() string {
 }
 
 // SQL renders the value as a SQL literal (strings single-quoted, floats in
-// plain decimal notation so the result re-parses).
+// plain decimal notation so the result re-parses). A float always carries a
+// decimal point, so it re-parses as a float: printed bare, -0.0 would come
+// back as the integer 0 and a float beyond the int64 range would not parse.
 func (v Value) SQL() string {
 	switch v.kind {
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'f', -1, 64)
+		s := strconv.FormatFloat(v.f, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
 	default:
 		return v.String()
 	}

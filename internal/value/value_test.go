@@ -119,6 +119,10 @@ func TestStringAndSQL(t *testing.T) {
 	}{
 		{NewInt(-5), "-5", "-5"},
 		{NewFloat(2.5), "2.5", "2.5"},
+		// Integral floats keep a decimal point so they re-parse as floats.
+		{NewFloat(3), "3", "3.0"},
+		{NewFloat(math.Copysign(0, -1)), "-0", "-0.0"},
+		{NewFloat(1e21), "1e+21", "1000000000000000000000.0"},
 		{NewString("hi"), "hi", "'hi'"},
 		{Null, "NULL", "NULL"},
 	}

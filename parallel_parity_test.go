@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/parallel"
 	"repro/internal/toy"
 	"repro/internal/tpcds"
 )
@@ -24,6 +25,7 @@ import (
 // operator.
 func checkParallelParity(t *testing.T, pkg *TransferPackage, queries []string) {
 	t.Helper()
+	defer parallel.AtLeastProcs(8)()
 	sum, _, err := Build(pkg, DefaultBuildOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +38,7 @@ func checkParallelParity(t *testing.T, pkg *TransferPackage, queries []string) {
 			for _, workers := range []int{1, 2, 4, 8} {
 				popts := opts
 				popts.Parallelism = workers
-				got := execWith(t, regen, sql, popts, engine.ExecuteParallel)
+				got := execWith(t, regen, sql, popts, engine.Execute)
 				sameResult(t, fmt.Sprintf("%s [batch=%d workers=%d]", sql, size, workers), got, want)
 			}
 		}
@@ -81,6 +83,7 @@ func TestParallelParityTPCDSWorkload(t *testing.T) {
 // velocity-regulated database cannot be partitioned, so parallel execution
 // must transparently produce the sequential result.
 func TestParallelParityVelocityFallback(t *testing.T) {
+	defer parallel.AtLeastProcs(4)()
 	db, err := toy.Database(42)
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +105,6 @@ func TestParallelParityVelocityFallback(t *testing.T) {
 	want := execWith(t, fast, sql, opts, engine.Execute)
 	popts := opts
 	popts.Parallelism = 4
-	got := execWith(t, slow, sql, popts, engine.ExecuteParallel)
+	got := execWith(t, slow, sql, popts, engine.Execute)
 	sameResult(t, sql+" [paced fallback]", got, want)
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/parallel"
 	"repro/internal/sqlkit"
 	"repro/internal/toy"
 	"repro/internal/tpcds"
@@ -74,6 +75,7 @@ func prunedRows(n *engine.ExecNode) int64 {
 // test on both sides). Returns the pruned-row count Execute observed.
 func pruneFronts(t *testing.T, db *Database, sql string) int64 {
 	t.Helper()
+	defer parallel.AtLeastProcs(8)()
 	opts := ExecOptions{SampleLimit: 8, NoSummaryAgg: true}
 	refOpts := opts
 	refOpts.NoScanPrune = true
@@ -106,14 +108,14 @@ func pruneFronts(t *testing.T, db *Database, sql string) int64 {
 	for _, w := range []int{1, 4, 8} {
 		par := opts
 		par.Parallelism = w
-		res, err = engine.ExecuteParallel(db, plan, par)
+		res, err = engine.Execute(db, plan, par)
 		switch w {
 		case 1:
-			exec("ExecuteParallel/w1", res, err)
+			exec("Execute/w1", res, err)
 		case 4:
-			exec("ExecuteParallel/w4", res, err)
+			exec("Execute/w4", res, err)
 		default:
-			exec("ExecuteParallel/w8", res, err)
+			exec("Execute/w8", res, err)
 		}
 	}
 	prep, err := Prepare(db, sql, opts)

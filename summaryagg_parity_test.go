@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/parallel"
 	"repro/internal/sqlkit"
 	"repro/internal/toy"
 	"repro/internal/tpcds"
@@ -48,6 +49,7 @@ var saggProbes = []string{
 // fronts or none).
 func summaryAggFronts(t *testing.T, db *Database, sql string) bool {
 	t.Helper()
+	defer parallel.AtLeastProcs(4)()
 	opts := ExecOptions{SampleLimit: 8}
 	refOpts := opts
 	refOpts.NoSummaryAgg = true
@@ -79,8 +81,8 @@ func summaryAggFronts(t *testing.T, db *Database, sql string) bool {
 	exec("ExecuteRows", res, err)
 	par := opts
 	par.Parallelism = 4
-	res, err = engine.ExecuteParallel(db, plan, par)
-	exec("ExecuteParallel", res, err)
+	res, err = engine.Execute(db, plan, par)
+	exec("Execute/w4", res, err)
 	prep, err := Prepare(db, sql, opts)
 	if err != nil {
 		t.Fatalf("%s [Prepare]: %v", sql, err)

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/parallel"
 	"repro/internal/sqlkit"
 	"repro/internal/toy"
 	"repro/internal/trace"
@@ -65,6 +66,7 @@ func checkSpanMirrorsPlan(t *testing.T, label string, sp *TraceSpan, node *ExecN
 // reference: identical preorder shape, ops, details, cardinalities, and
 // detached markers, with the answer itself unchanged by tracing.
 func TestTraceSpanParityAcrossFronts(t *testing.T) {
+	defer parallel.AtLeastProcs(8)()
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
 	queries := append(append(toy.Workload(), toy.GroupWorkload()...), toy.SortWorkload()...)
@@ -111,13 +113,13 @@ func TestTraceSpanParityAcrossFronts(t *testing.T) {
 				return engine.ExecuteRows(db, plan, ExecOptions{SampleLimit: 4, Trace: true})
 			}},
 			{"parallel_w1", func() (*ExecResult, error) {
-				return engine.ExecuteParallel(db, plan, ExecOptions{SampleLimit: 4, Trace: true, Parallelism: 1})
+				return engine.Execute(db, plan, ExecOptions{SampleLimit: 4, Trace: true, Parallelism: 1})
 			}},
 			{"parallel_w4", func() (*ExecResult, error) {
-				return engine.ExecuteParallel(db, plan, ExecOptions{SampleLimit: 4, Trace: true, Parallelism: 4})
+				return engine.Execute(db, plan, ExecOptions{SampleLimit: 4, Trace: true, Parallelism: 4})
 			}},
 			{"parallel_w8", func() (*ExecResult, error) {
-				return engine.ExecuteParallel(db, plan, ExecOptions{SampleLimit: 4, Trace: true, Parallelism: 8})
+				return engine.Execute(db, plan, ExecOptions{SampleLimit: 4, Trace: true, Parallelism: 8})
 			}},
 			{"prepared", func() (*ExecResult, error) {
 				prep, err := engine.Prepare(db, plan, ExecOptions{})
@@ -268,6 +270,7 @@ func TestExplainAnalyzeSummaryAggGolden(t *testing.T) {
 // same tree shape (ops and cardinalities) as sequential execution — the
 // mode-invariance the span merge exists for.
 func TestRenderTraceParallelShape(t *testing.T) {
+	defer parallel.AtLeastProcs(4)()
 	sum := toySummary(t)
 	db := core.RegenDatabase(sum, 0)
 	q, err := sqlkit.Parse(toy.Query)
@@ -282,7 +285,7 @@ func TestRenderTraceParallelShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := engine.ExecuteParallel(db, plan, ExecOptions{Trace: true, Parallelism: 4})
+	par, err := engine.Execute(db, plan, ExecOptions{Trace: true, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
